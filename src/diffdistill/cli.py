@@ -28,13 +28,13 @@ from .diffusion import (
     transition_matrix,
 )
 from .distill import psd_grad, psd_loss, row_softmax
-from .embeddings import EmbeddingBatch, cosine_similarity_matrix, normalize_rows
+from .embeddings import EmbeddingBatch, cosine_similarity_matrix, neighbor_ranking, normalize_rows
 from .errors import DegenerateGraphWarning, DiffDistillError, KTooLarge
 from .io import (
     EmbeddingTable,
     FormatError,
-    atomic_write_text,
     read_embeddings_auto,
+    write_csv_rows,
     write_embeddings_csv,
     write_json,
     write_neighbors_csv,
@@ -94,12 +94,6 @@ def _history_rows(result, ks):
     return rows
 
 
-def _write_history_csv(path, result, ks, config_hash):
-    lines = [f"# config_hash={config_hash}"]
-    lines += [",".join(str(cell) for cell in row) for row in _history_rows(result, ks)]
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
 def _embedding_table(batch: EmbeddingBatch) -> EmbeddingTable:
     return EmbeddingTable(
         ids=[str(i) for i in range(batch.n)], labels=batch.labels, vectors=batch.vectors
@@ -143,17 +137,10 @@ def cmd_train(args) -> int:
     per_seed = {}
     for seed in seeds:
         result = run_training(config, seed)
-        _write_history_csv(out_dir / f"history_seed{seed}.csv", result, ks, chash)
-        write_embeddings_csv(
-            out_dir / f"embeddings_train_seed{seed}.csv",
-            _embedding_table(result.final_train),
-            config_hash=chash,
-        )
-        write_embeddings_csv(
-            out_dir / f"embeddings_test_seed{seed}.csv",
-            _embedding_table(result.final_test),
-            config_hash=chash,
-        )
+        write_csv_rows(out_dir / f"history_seed{seed}.csv", _history_rows(result, ks), chash)
+        for split, batch in (("train", result.final_train), ("test", result.final_test)):
+            path = out_dir / f"embeddings_{split}_seed{seed}.csv"
+            write_embeddings_csv(path, _embedding_table(batch), config_hash=chash)
         final = _final_metrics_dict(result)
         write_json(
             out_dir / f"run_seed{seed}.json",
@@ -232,55 +219,43 @@ def cmd_diffuse(args) -> int:
         }
     )
 
-    blocks = []
     if args.mode == "global":
         if not 1 <= args.knn_k < n:
             raise CliValidationError(f"knn_k must satisfy 1 <= k < n={n}, got {args.knn_k}")
-        D = cosine_similarity_matrix(batch_all)
-        graph = build_affinity_knn(batch_all, args.knn_k, params)
-        if graph.degenerate_rows:
-            print(
-                json.dumps({"warning": "DegenerateGraph", "batch": 0, "rows": list(graph.degenerate_rows)}),
-                file=sys.stderr,
-            )
-        A = diffuse_closed_form(transition_matrix(graph), D, args.omega)
-        blocks.append((0, np.arange(n), A))
+        spans = [(0, n)]
     else:
         if args.batch_size < 2:
             raise CliValidationError("batch_size must be >= 2")
-        starts = list(range(0, n, args.batch_size))
-        spans = []
-        for start in starts:
-            stop = min(start + args.batch_size, n)
-            spans.append((start, stop))
+        spans = [(start, min(start + args.batch_size, n)) for start in range(0, n, args.batch_size)]
         # a trailing single row cannot form a graph; fold it into the last batch
         if len(spans) > 1 and spans[-1][1] - spans[-1][0] < 2:
-            prev_start, _ = spans[-2]
-            spans[-2:] = [(prev_start, n)]
+            spans[-2:] = [(spans[-2][0], n)]
         if spans[0][1] - spans[0][0] < 2:
             raise CliValidationError("need at least 2 rows to diffuse")
-        for batch_index, (start, stop) in enumerate(spans):
-            sub = EmbeddingBatch(batch_all.vectors[start:stop], batch_all.labels[start:stop])
-            D = cosine_similarity_matrix(sub)
+    blocks = []
+    for batch_index, (start, stop) in enumerate(spans):
+        sub = EmbeddingBatch(batch_all.vectors[start:stop], batch_all.labels[start:stop])
+        D = cosine_similarity_matrix(sub)
+        if args.mode == "global":
+            graph = build_affinity_knn(sub, args.knn_k, params)
+        else:
             graph = build_affinity_batch(sub, params)
-            if graph.degenerate_rows:
-                rows = [start + r for r in graph.degenerate_rows]
-                print(
-                    json.dumps({"warning": "DegenerateGraph", "batch": batch_index, "rows": rows}),
-                    file=sys.stderr,
-                )
-            A = diffuse_closed_form(transition_matrix(graph), D, args.omega)
-            blocks.append((batch_index, np.arange(start, stop), A))
+        if graph.degenerate_rows:
+            rows = [start + r for r in graph.degenerate_rows]
+            print(
+                json.dumps({"warning": "DegenerateGraph", "batch": batch_index, "rows": rows}),
+                file=sys.stderr,
+            )
+        A = diffuse_closed_form(transition_matrix(graph), D, args.omega)
+        blocks.append((batch_index, np.arange(start, stop), A))
 
     out_dir = Path(args.out_dir)
     write_similarity_csv(out_dir / "refined_similarity.csv", blocks, config_hash=chash)
     if args.neighbors > 0:
         ranked = []
         for _, indices, A in blocks:
-            for local, gi in enumerate(indices):
-                scores = [(int(indices[j]), float(A[local, j])) for j in range(len(indices)) if j != local]
-                scores.sort(key=lambda pair: (-pair[1], pair[0]))
-                ranked.append((int(gi), scores[: args.neighbors]))
+            order = neighbor_ranking(A, min(args.neighbors, len(indices) - 1))
+            ranked.append((indices, indices[order], np.take_along_axis(A, order, axis=1)))
         write_neighbors_csv(out_dir / "neighbors.csv", ranked, config_hash=chash)
     print(f"wrote {len(blocks)} refined block(s) for {n} rows")
     return EXIT_OK
@@ -513,7 +488,8 @@ def cmd_sweep(args) -> int:
         for seed in seeds:
             try:
                 result = run_training(swept, seed)
-            except Exception as exc:  # keep partial sweep results on individual failures
+            except (DiffDistillError, ValueError, np.linalg.LinAlgError, FloatingPointError) as exc:
+                # keep partial sweep results on library and numerical failures
                 status = f"failed: {type(exc).__name__}"
                 print(
                     json.dumps({"warning": "run_failed", "value": value, "seed": seed, "error": str(exc)}),
@@ -539,8 +515,7 @@ def cmd_sweep(args) -> int:
         else:
             rows.append([args.parameter, repr(value), 0, "", "", "", "", status])
         # partial results survive later failures
-        lines = [f"# config_hash={chash}"] + [",".join(str(c) for c in row) for row in rows]
-        atomic_write_text(out_dir / "sweep.csv", "\n".join(lines) + "\n")
+        write_csv_rows(out_dir / "sweep.csv", rows, chash)
     print(f"swept {args.parameter} over {len(values)} value(s); results in {out_dir / 'sweep.csv'}")
     return EXIT_OK
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embeddings import EmbeddingBatch, cosine_similarity_matrix
+from .embeddings import EmbeddingBatch, cosine_similarity_matrix, neighbor_ranking
 from .errors import DegenerateGraph, DegenerateGraphWarning, NotConverged, SingularSystem
 
 CLOSED_FORM = "closed_form"
@@ -103,17 +103,11 @@ def build_affinity_batch(batch: EmbeddingBatch, params: DiffusionParams) -> Affi
 def mutual_knn_mask(similarity: np.ndarray, k: int) -> np.ndarray:
     """Boolean mask of pairs (i, j), i != j, that appear in each other's top-k.
 
-    Neighbors are ranked by descending similarity with index order breaking
-    ties, self excluded.
+    Each row's top-k is its `neighbor_ranking` prefix (ties by index, self excluded).
     """
     n = similarity.shape[0]
-    if not 1 <= k < n:
-        raise ValueError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
-    ranked = np.argsort(-similarity, axis=1, kind="stable")
     in_knn = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        neighbors = ranked[i][ranked[i] != i][:k]
-        in_knn[i, neighbors] = True
+    in_knn[np.arange(n)[:, None], neighbor_ranking(similarity, k)] = True
     return in_knn & in_knn.T
 
 

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import ZeroNormRow
 
 ZERO_NORM_EPS = 1e-12
+RANKING_BLOCK_ROWS = 256
 
 
 def _as_matrix(vectors) -> np.ndarray:
@@ -112,6 +113,24 @@ def cosine_similarity_matrix(batch: EmbeddingBatch | np.ndarray) -> np.ndarray:
     """
     z = batch.vectors if isinstance(batch, EmbeddingBatch) else np.asarray(batch, dtype=np.float64)
     return np.clip(z @ z.T, -1.0, 1.0)
+
+
+def neighbor_ranking(similarity: np.ndarray, top: int) -> np.ndarray:
+    """Each row's first `top` neighbor columns, shape (n, top).
+
+    Order: descending similarity, self excluded, ties broken by lower index.
+    Rows are ranked RANKING_BLOCK_ROWS at a time, so scratch stays block x n.
+    """
+    n = similarity.shape[0]
+    if not 1 <= top < n:
+        raise ValueError(f"k must satisfy 1 <= k < n, got k={top}, n={n}")
+    order = np.empty((n, top), dtype=np.intp)
+    for start in range(0, n, RANKING_BLOCK_ROWS):
+        stop = min(start + RANKING_BLOCK_ROWS, n)
+        negated = -similarity[start:stop]
+        negated[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        order[start:stop] = np.argsort(negated, axis=1, kind="stable")[:, :top]
+    return order
 
 
 def normalization_jacobian_apply(v, upstream, eps: float = ZERO_NORM_EPS) -> np.ndarray:

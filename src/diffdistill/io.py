@@ -5,16 +5,18 @@ ids, nonnegative integer labels, decimal float coordinates). Binary embeddings
 are magic ``OBSD``, version u16 LE, u32 n, u32 d, n*d float32 LE row-major,
 then n uint32 labels. Readers skip leading ``#`` comment lines in CSVs; CSV
 artifacts written by the CLI carry a ``# config_hash=...`` first line. All
-writes go through a temp file + rename.
+writes stream into a temp file that is renamed over the target on success.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import operator
 import os
 import struct
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,22 +47,39 @@ class EmbeddingTable:
         return self.vectors.shape[1]
 
 
-def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
+@contextmanager
+def _atomic_open(path: str | Path, binary: bool = False):
+    """Yield a handle on a temp file beside `path`, renamed over `path` on success.
+
+    On any exception the temp file is removed and `path` is left as it was. The
+    file gets mode 0o666 less the umask; text is UTF-8, newlines untranslated.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
+        with open(fd, "wb") if binary else open(fd, "w", encoding="utf-8", newline="") as handle:
+            umask = os.umask(0)  # the only portable way to read the umask
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        Path(tmp).unlink(missing_ok=True)
         raise
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+def _write_row(handle, prefix: str, middles: list[str], values: list[float]) -> None:
+    """One line per value, `prefix + middle + repr(value)`, in a single write."""
+    handle.write(prefix + ("\n" + prefix).join(map(operator.add, middles, map(repr, values))) + "\n")
+
+
+def write_csv_rows(path: str | Path, rows, config_hash: str) -> None:
+    """Comma-joined `str` cells, one row per line, after a ``# config_hash=...`` line."""
+    with _atomic_open(path) as handle:
+        handle.write(f"# config_hash={config_hash}\n")
+        for row in rows:
+            handle.write(",".join(str(cell) for cell in row) + "\n")
 
 
 def _expected_header(dim: int) -> list[str]:
@@ -70,14 +89,12 @@ def _expected_header(dim: int) -> list[str]:
 def write_embeddings_csv(
     path: str | Path, table: EmbeddingTable, config_hash: str | None = None
 ) -> None:
-    lines = []
-    if config_hash is not None:
-        lines.append(f"# config_hash={config_hash}")
-    lines.append(",".join(_expected_header(table.dim)))
-    for sid, label, row in zip(table.ids, table.labels, table.vectors):
-        coords = ",".join(repr(float(x)) for x in row)
-        lines.append(f"{sid},{int(label)},{coords}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    with _atomic_open(path) as handle:
+        if config_hash is not None:
+            handle.write(f"# config_hash={config_hash}\n")
+        handle.write(",".join(_expected_header(table.dim)) + "\n")
+        for sid, label, row in zip(table.ids, table.labels, table.vectors):
+            handle.write(f"{sid},{int(label)}," + ",".join(map(repr, row.tolist())) + "\n")
 
 
 def read_embeddings_csv(path: str | Path) -> EmbeddingTable:
@@ -114,13 +131,10 @@ def write_embeddings_binary(path: str | Path, table: EmbeddingTable) -> None:
     labels = np.asarray(table.labels)
     if labels.min(initial=0) < 0 or labels.max(initial=0) > np.iinfo(np.uint32).max:
         raise FormatError("labels must fit in uint32")
-    n, d = table.vectors.shape
-    payload = bytearray()
-    payload += BINARY_MAGIC
-    payload += struct.pack("<HII", BINARY_VERSION, n, d)
-    payload += table.vectors.astype("<f4").tobytes(order="C")
-    payload += labels.astype("<u4").tobytes()
-    atomic_write_bytes(path, bytes(payload))
+    with _atomic_open(path, binary=True) as handle:
+        handle.write(BINARY_MAGIC + struct.pack("<HII", BINARY_VERSION, *table.vectors.shape))
+        handle.write(table.vectors.astype("<f4").tobytes(order="C"))
+        handle.write(labels.astype("<u4").tobytes())
 
 
 def read_embeddings_binary(path: str | Path) -> EmbeddingTable:
@@ -160,15 +174,15 @@ def write_similarity_csv(
     """Long-form refined similarities: one (batch, i, j, value) row per pair.
 
     `blocks` holds (batch_index, global_row_indices, matrix) triples; i and j
-    are row indices of the input embedding file.
+    are row indices of the input embedding file. Streams one matrix row per write.
     """
-    lines = [f"# config_hash={config_hash}", "batch,i,j,value"]
-    for batch_index, indices, matrix in blocks:
-        for a, gi in enumerate(indices):
-            row = matrix[a]
-            for b, gj in enumerate(indices):
-                lines.append(f"{batch_index},{int(gi)},{int(gj)},{float(row[b])!r}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    with _atomic_open(path) as handle:
+        handle.write(f"# config_hash={config_hash}\nbatch,i,j,value\n")
+        for batch_index, indices, matrix in blocks:
+            indices = indices.tolist()
+            cols = [f",{gj}," for gj in indices]
+            for gi, row in zip(indices, matrix):
+                _write_row(handle, f"{batch_index},{gi}", cols, row.tolist())
 
 
 def read_similarity_csv(path: str | Path) -> dict[tuple[int, int], float]:
@@ -184,18 +198,24 @@ def read_similarity_csv(path: str | Path) -> dict[tuple[int, int], float]:
 
 
 def write_neighbors_csv(
-    path: str | Path, neighbors: list[tuple[int, list[tuple[int, float]]]], config_hash: str
+    path: str | Path, blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]], config_hash: str
 ) -> None:
-    """Re-ranked neighbor lists: row index, rank (1-based), neighbor index, score."""
-    lines = [f"# config_hash={config_hash}", "i,rank,neighbor,score"]
-    for i, ranked in neighbors:
-        for rank, (j, score) in enumerate(ranked, start=1):
-            lines.append(f"{int(i)},{rank},{int(j)},{float(score)!r}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """Re-ranked neighbor lists: row index, rank (1-based), neighbor index, score.
+
+    `blocks` holds (row_indices, neighbor_indices, scores) triples; the last two
+    are (rows, top) arrays in rank order. Streams one row's list per write.
+    """
+    with _atomic_open(path) as handle:
+        handle.write(f"# config_hash={config_hash}\ni,rank,neighbor,score\n")
+        for indices, neighbors, scores in blocks:
+            for gi, row_neighbors, row_scores in zip(indices.tolist(), neighbors.tolist(), scores.tolist()):
+                middles = [f",{rank},{j}," for rank, j in enumerate(row_neighbors, start=1)]
+                _write_row(handle, str(gi), middles, row_scores)
 
 
 def write_json(path: str | Path, payload: dict) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with _atomic_open(path) as handle:
+        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def read_json(path: str | Path) -> dict:

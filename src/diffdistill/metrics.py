@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embeddings import EmbeddingBatch, cosine_similarity_matrix
+from .embeddings import EmbeddingBatch, cosine_similarity_matrix, neighbor_ranking
 from .errors import KTooLarge, RankDeficient, UndefinedDensity
 
 EUCLIDEAN = "euclidean"
@@ -43,15 +43,6 @@ class MetricsReport:
         }
 
 
-def _neighbor_ranking(similarity: np.ndarray) -> np.ndarray:
-    """Per-row neighbor order: descending similarity, self excluded, ties by index."""
-    n = similarity.shape[0]
-    sims = similarity.copy()
-    np.fill_diagonal(sims, -np.inf)
-    order = np.argsort(-sims, axis=1, kind="stable")
-    return order[:, : n - 1]
-
-
 def recall_at_k(gallery: EmbeddingBatch, ks: list[int]) -> dict[int, float]:
     """Fraction of samples with a same-class hit among their top-K cosine neighbors."""
     ks = [int(k) for k in ks]
@@ -59,7 +50,7 @@ def recall_at_k(gallery: EmbeddingBatch, ks: list[int]) -> dict[int, float]:
         raise ValueError("ks must be positive integers")
     if gallery.n < max(ks) + 1:
         raise KTooLarge(f"K={max(ks)} needs at least {max(ks) + 1} samples, have {gallery.n}")
-    order = _neighbor_ranking(cosine_similarity_matrix(gallery))
+    order = neighbor_ranking(cosine_similarity_matrix(gallery), max(ks))
     neighbor_labels = gallery.labels[order]
     same = neighbor_labels == gallery.labels[:, None]
     return {k: float(np.mean(same[:, :k].any(axis=1))) for k in ks}

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import subprocess
 import sys
 
@@ -176,14 +178,59 @@ def test_diffuse_two_row_file(tmp_path):
     assert all(np.isfinite(v) for v in refined.values())
 
 
+def neighbor_lists(path):
+    lists = {}
+    for line in data_rows(path)[1:]:
+        i, rank, j, score = line.split(",")
+        lists.setdefault(int(i), []).append((int(rank), int(j), float(score)))
+    return lists
+
+
 def test_diffuse_neighbor_lists(tmp_path):
     rng = np.random.default_rng(2)
-    write_table(tmp_path / "emb.csv", rng.standard_normal((6, 4)), np.zeros(6, dtype=int))
-    assert main(["diffuse", str(tmp_path / "emb.csv"), "--omega", "0.3", "--batch-size", "6",
-                 "--neighbors", "2", "--out-dir", str(tmp_path)]) == 0
-    lines = data_rows(tmp_path / "neighbors.csv")
-    assert lines[0] == "i,rank,neighbor,score"
-    assert len(lines) == 1 + 6 * 2
+    vectors = rng.standard_normal((9, 4)) + 2.0  # positive cosines: no floored rows
+    vectors[4] = vectors[1]  # duplicate rows give tied scores
+    vectors[8] = vectors[6]
+    write_table(tmp_path / "emb.csv", vectors, np.zeros(9, dtype=int))
+    modes = [(["--batch-size", "5"], [5, 4]), (["--mode", "global", "--knn-k", "5"], [9])]
+    for mode_args, block_sizes in modes:
+        for neighbors in (2, 20):  # 20 exceeds every block and is clamped
+            out = tmp_path / f"{mode_args[1]}-{neighbors}"
+            assert main(["diffuse", str(tmp_path / "emb.csv"), "--omega", "0.3", *mode_args,
+                         "--neighbors", str(neighbors), "--out-dir", str(out)]) == 0
+            assert data_rows(out / "neighbors.csv")[0] == "i,rank,neighbor,score"
+            refined = read_similarity_csv(out / "refined_similarity.csv")
+            lists = neighbor_lists(out / "neighbors.csv")
+            assert sorted(lists) == list(range(9))
+            starts = np.cumsum([0] + block_sizes)
+            for b, size in enumerate(block_sizes):
+                top = min(neighbors, size - 1)
+                for i in range(starts[b], starts[b + 1]):
+                    ranked = lists[i]
+                    assert [rank for rank, _, _ in ranked] == list(range(1, top + 1))
+                    assert i not in [j for _, j, _ in ranked]
+                    for _, j, score in ranked:
+                        assert score == refined[(i, j)]
+                    candidates = [(j, v) for (a, j), v in refined.items() if a == i and j != i]
+                    expected = sorted(candidates, key=lambda pair: (-pair[1], pair[0]))[:top]
+                    assert [(j, score) for _, j, score in ranked] == expected
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, "-rw-r--r--"), (0o027, "-rw-r-----")])
+def test_artifacts_get_umask_file_mode(tmp_path, umask, mode):
+    rng = np.random.default_rng(4)
+    write_table(tmp_path / "emb.csv", rng.standard_normal((6, 3)), [0, 0, 1, 1, 2, 2])
+    out = tmp_path / "out"
+    previous = os.umask(umask)
+    try:
+        assert main(["diffuse", str(tmp_path / "emb.csv"), "--omega", "0.5",
+                     "--neighbors", "2", "--out-dir", str(out)]) == 0
+        assert main(["eval", str(tmp_path / "emb.csv"), "--ks", "1",
+                     "--kmeans-restarts", "1", "--out-dir", str(out)]) == 0
+    finally:
+        os.umask(previous)
+    for name in ("refined_similarity.csv", "neighbors.csv", "metrics.json"):
+        assert stat.filemode((out / name).stat().st_mode) == mode
 
 
 def test_diffuse_bad_omega_exit_2(tmp_path):
@@ -326,6 +373,29 @@ def test_sweep_single_value_matches_train(tmp_path):
     assert main(["train", str(cfg2)]) == 0
     run = read_json(tmp_path / "out2" / "run_seed0.json")
     assert swept_r1 == run["final"]["recall"]["1"]
+
+
+def test_sweep_programming_error_propagates(tmp_path, monkeypatch):
+    def broken(config, seed, distill_mode=None):
+        raise TypeError("bug, not a failed run")
+
+    monkeypatch.setattr("diffdistill.cli.run_training", broken)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config_text(out_dir=str(tmp_path / "out"), seeds="0"))
+    with pytest.raises(TypeError, match="bug"):
+        main(["sweep", str(cfg), "omega", "0.5"])
+
+
+def test_sweep_library_error_becomes_failed_row(tmp_path, monkeypatch):
+    def failing(config, seed, distill_mode=None):
+        raise FloatingPointError("overflow")
+
+    monkeypatch.setattr("diffdistill.cli.run_training", failing)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config_text(out_dir=str(tmp_path / "out"), seeds="0"))
+    assert main(["sweep", str(cfg), "omega", "0.5"]) == 0
+    rows = data_rows(tmp_path / "out" / "sweep.csv")
+    assert rows[1] == "omega,0.5,0,,,,,failed: FloatingPointError"
 
 
 def test_sweep_omega_out_of_range_exit_2(tmp_path):

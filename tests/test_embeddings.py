@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from diffdistill.diffusion import mutual_knn_mask
 from diffdistill.embeddings import (
+    RANKING_BLOCK_ROWS,
     EmbeddingBatch,
     RawEmbeddingBatch,
     cosine_similarity_matrix,
     l2_normalize,
+    neighbor_ranking,
     normalization_jacobian_apply,
     normalize_rows,
 )
@@ -129,3 +132,68 @@ def test_jacobian_output_orthogonal_to_direction():
 def test_jacobian_rejects_zero_vector():
     with pytest.raises(ZeroNormRow):
         normalization_jacobian_apply(np.zeros(3), np.ones(3))
+
+
+# ---------------------------------------------------------------------------
+# neighbor ranking
+
+
+def ranking_oracle(s):
+    """Brute-force per-row order: descending score, ties by index, self dropped."""
+    n = s.shape[0]
+    return [[j for j in sorted(range(n), key=lambda j: (-s[i, j], j)) if j != i] for i in range(n)]
+
+
+def old_mutual_knn_mask(similarity, k):
+    """The per-row loop that mutual_knn_mask replaced."""
+    n = similarity.shape[0]
+    ranked = np.argsort(-similarity, axis=1, kind="stable")
+    in_knn = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        neighbors = ranked[i][ranked[i] != i][:k]
+        in_knn[i, neighbors] = True
+    return in_knn & in_knn.T
+
+
+def tie_heavy_similarities(n, seed):
+    """Cosine similarities of points drawn with repeats, rounded to 1 decimal."""
+    rng = np.random.default_rng(seed)
+    points = normalize_rows(rng.standard_normal((max(3, n // 8), 3)))
+    z = points[rng.integers(0, points.shape[0], size=n)]  # many duplicated rows
+    return np.round(cosine_similarity_matrix(z), 1)
+
+
+BLOCK = RANKING_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+def test_neighbor_ranking_matches_brute_force_oracle(n):
+    rng = np.random.default_rng(n)
+    inputs = [
+        tie_heavy_similarities(n, seed=n),
+        np.round(rng.uniform(-1, 1, size=(n, n)), 1),  # asymmetric, ties everywhere
+    ]
+    for s in inputs:
+        before = s.copy()
+        oracle = np.array(ranking_oracle(s))
+        for top in (1, n - 1):
+            np.testing.assert_array_equal(neighbor_ranking(s, top), oracle[:, :top])
+        np.testing.assert_array_equal(s, before)  # input untouched
+
+
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK + 1, 2 * BLOCK + 3])
+def test_mutual_knn_mask_matches_per_row_loop(n):
+    s = tie_heavy_similarities(n, seed=n + 1)
+    for k in (1, 7, n - 1):
+        np.testing.assert_array_equal(mutual_knn_mask(s, k), old_mutual_knn_mask(s, k))
+
+
+def test_neighbor_ranking_self_is_excluded_even_when_not_maximal():
+    s = np.array([[0.0, 0.5, 0.5], [0.9, 0.1, 0.9], [1.0, 1.0, 1.0]])
+    np.testing.assert_array_equal(neighbor_ranking(s, 2), [[1, 2], [0, 2], [0, 1]])
+
+
+@pytest.mark.parametrize("top", [0, 3])
+def test_neighbor_ranking_rejects_top_out_of_range(top):
+    with pytest.raises(ValueError):
+        neighbor_ranking(np.eye(3), top)

@@ -11,6 +11,7 @@ from diffdistill.io import (
     read_similarity_csv,
     write_embeddings_binary,
     write_embeddings_csv,
+    write_neighbors_csv,
     write_similarity_csv,
 )
 
@@ -128,3 +129,70 @@ def test_similarity_round_trip(tmp_path):
     assert back[(4, 3)] == A1[1, 0]
     assert len(back) == 9 + 4
     assert path.read_text().splitlines()[0] == "# config_hash=deadbeef"
+
+
+# ---------------------------------------------------------------------------
+# streaming writers: byte format and atomicity
+
+
+def old_similarity_text(blocks, config_hash):
+    """Per-element formatter the streaming writer replaced."""
+    lines = [f"# config_hash={config_hash}", "batch,i,j,value"]
+    for batch_index, indices, matrix in blocks:
+        for a, gi in enumerate(indices):
+            row = matrix[a]
+            for b, gj in enumerate(indices):
+                lines.append(f"{batch_index},{int(gi)},{int(gj)},{float(row[b])!r}")
+    return "\n".join(lines) + "\n"
+
+
+def old_neighbors_text(neighbors, config_hash):
+    lines = [f"# config_hash={config_hash}", "i,rank,neighbor,score"]
+    for i, ranked in neighbors:
+        for rank, (j, score) in enumerate(ranked, start=1):
+            lines.append(f"{int(i)},{rank},{int(j)},{float(score)!r}")
+    return "\n".join(lines) + "\n"
+
+
+AWKWARD = [-0.0, 5e-324, 1e16, 0.1 + 0.2, 1 / 3, -2.5e-7, 1.0, 123456789.125, -1e-300]
+
+
+def awkward_blocks():
+    m0 = np.array(AWKWARD).reshape(3, 3)
+    m1 = np.array([[1 / 3, -0.0], [0.1 + 0.2, 5e-324]])
+    return [(3, np.array([7, 2, 11]), m0), (5, np.array([40, 0]), m1)]
+
+
+def test_similarity_writer_matches_per_element_format(tmp_path):
+    path = tmp_path / "sim.csv"
+    write_similarity_csv(path, awkward_blocks(), config_hash="c0ffee")
+    assert path.read_bytes() == old_similarity_text(awkward_blocks(), "c0ffee").encode("utf-8")
+
+
+def test_neighbors_writer_matches_per_element_format(tmp_path):
+    indices = np.array([7, 2, 11])
+    neighbors = np.array([[2, 11], [11, 7], [7, 2]])
+    scores = np.array([[1e16, -0.0], [0.1 + 0.2, 5e-324], [1 / 3, -1e-300]])
+    path = tmp_path / "nb.csv"
+    write_neighbors_csv(path, [(indices, neighbors, scores)], config_hash="c0ffee")
+    old = [(int(i), list(zip(nb.tolist(), sc.tolist()))) for i, nb, sc in zip(indices, neighbors, scores)]
+    assert path.read_bytes() == old_neighbors_text(old, "c0ffee").encode("utf-8")
+
+
+def test_failed_stream_leaves_target_and_no_temp_file(tmp_path):
+    path = tmp_path / "sim.csv"
+    path.write_text("previous contents\n")
+
+    def blocks_then_failure():
+        yield awkward_blocks()[0]
+        raise RuntimeError("boom")
+
+    with pytest.raises(RuntimeError, match="boom"):
+        write_similarity_csv(path, blocks_then_failure(), config_hash="x")
+    assert path.read_text() == "previous contents\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sim.csv"]
+
+    fresh = tmp_path / "fresh.csv"
+    with pytest.raises(RuntimeError):
+        write_similarity_csv(fresh, blocks_then_failure(), config_hash="x")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sim.csv"]
