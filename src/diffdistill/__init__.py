@@ -21,8 +21,6 @@ from .diffusion import (
 from .distill import (
     DistillConfig,
     dynamic_weight,
-    obdsd_loss,
-    pair_attention_factor,
     psd_grad,
     psd_loss,
     row_softmax,

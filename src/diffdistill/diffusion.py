@@ -15,7 +15,6 @@ plus ((1-omega)/omega) ||A - D||_F^2 anchoring A to the initial similarities.
 
 from __future__ import annotations
 
-import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -206,37 +205,3 @@ def refinement_objective(A, W, degrees, D, omega: float) -> float:
     anchor = (1.0 - omega) / omega * float(np.sum((A - D) ** 2))
     return smooth + anchor
 
-
-def epoch_diffusion_seconds(
-    n_samples: int,
-    batch_size: int,
-    dim: int,
-    params: DiffusionParams,
-    repeats: int = 3,
-    seed: int = 0,
-) -> float:
-    """Wall time of one epoch of per-batch refinement on random unit embeddings.
-
-    Partitions n_samples rows into consecutive batches of batch_size (the tail
-    remainder is dropped, matching the training loop) and times
-    affinity + normalization + solve over all batches; returns the minimum
-    over `repeats` passes to suppress scheduler noise.
-    """
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((n_samples, dim))
-    z = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-    labels = np.zeros(n_samples, dtype=np.int64)
-    batches = [
-        EmbeddingBatch(z[start : start + batch_size], labels[start : start + batch_size])
-        for start in range(0, n_samples - batch_size + 1, batch_size)
-    ]
-    for batch in batches[:1]:  # warm up BLAS paths outside the timed region
-        refine_similarity(batch, cosine_similarity_matrix(batch), params)
-    best = np.inf
-    for _ in range(repeats):
-        start_t = time.perf_counter()
-        for batch in batches:
-            D = cosine_similarity_matrix(batch)
-            refine_similarity(batch, D, params)
-        best = min(best, time.perf_counter() - start_t)
-    return best

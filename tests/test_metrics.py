@@ -107,6 +107,128 @@ def test_kmeans_deterministic_given_seed():
     np.testing.assert_array_equal(a, b)
 
 
+def sequential_kmeans(X, k, restarts=10, seed=0, max_iter=300):
+    """The one-restart-at-a-time k-means that `kmeans` must reproduce bitwise."""
+
+    def seed_centers(rng):
+        centers = np.empty((k, X.shape[1]))
+        centers[0] = X[int(rng.integers(X.shape[0]))]
+        closest = np.sum((X - centers[0]) ** 2, axis=1)
+        for c in range(1, k):
+            centers[c] = X[int(np.argmax(closest))]
+            closest = np.minimum(closest, np.sum((X - centers[c]) ** 2, axis=1))
+        return centers
+
+    def lloyd(centers):
+        assign = np.full(X.shape[0], -1)
+        for _ in range(max_iter):
+            d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            new_assign = np.argmin(d2, axis=1)
+            if np.array_equal(new_assign, assign):
+                break
+            assign = new_assign
+            for c in range(k):
+                members = X[assign == c]
+                if len(members):
+                    centers[c] = members.mean(axis=0)
+                else:
+                    dist_to_own = d2[np.arange(len(assign)), assign]
+                    centers[c] = X[int(np.argmax(dist_to_own))]
+        d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        assign = np.argmin(d2, axis=1)
+        return assign, float(d2[np.arange(X.shape[0]), assign].sum())
+
+    rng = np.random.default_rng(seed)
+    best_assign, best_inertia = None, np.inf
+    for _ in range(max(1, restarts)):
+        assign, inertia = lloyd(seed_centers(rng))
+        if inertia < best_inertia:
+            best_assign, best_inertia = assign, inertia
+    return best_assign
+
+
+def same_partition(a, b):
+    pairs = np.unique(np.stack([a, b]), axis=1)
+    return pairs.shape[1] == np.unique(a).size == np.unique(b).size
+
+
+def oracle_cases(rng, count):
+    for case in range(count):
+        kind = case % 4
+        # kind 3 rarely converges, so it runs to max_iter: keep it small
+        n = int(rng.integers(2, 41 if kind == 3 else 301))
+        d = int(rng.integers(1, 20))
+        k = int(rng.integers(1, min(n, 30) + 1))
+        X = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0)
+        if kind == 1:
+            X = np.round(X, 1)  # many exact ties between distances
+        elif kind == 2:
+            half = (n + 1) // 2
+            X = np.round(X[:half], 1)[rng.integers(0, half, size=n)]  # duplicated rows
+        elif kind == 3:
+            # fewer distinct rows than clusters: seeding repeats centres,
+            # which leaves clusters empty and forces reseeding
+            X = X[rng.integers(0, max(1, k - 1), size=n)]
+        yield X, k, int(rng.choice([1, 10])), int(rng.choice([1, 2, 300])), case
+
+
+def test_kmeans_bitwise_equals_sequential_oracle():
+    rng = np.random.default_rng(20)
+    for X, k, restarts, max_iter, seed in oracle_cases(rng, 240):
+        got = kmeans(X, k, restarts=restarts, seed=seed, max_iter=max_iter)
+        want = sequential_kmeans(X, k, restarts=restarts, seed=seed, max_iter=max_iter)
+        if X.shape[1] == 1:
+            # numpy's axis-0 mean of a column is pairwise, not row-order, so
+            # centres may differ in the last bit; the clustering may not
+            assert same_partition(got, want), (X.shape, k, restarts, max_iter, seed)
+        else:
+            assert np.array_equal(got, want), (X.shape, k, restarts, max_iter, seed)
+        if seed % 5 == 0:
+            # the same data in Fortran order clusters the same
+            fortran = np.asfortranarray(X)
+            assert np.array_equal(
+                kmeans(fortran, k, restarts=restarts, seed=seed, max_iter=max_iter), got
+            )
+
+
+def test_kmeans_exact_tie_takes_lower_index():
+    # x = a + t lies exactly halfway between c0 = a and c1 = a + 2t: the
+    # differences are exact integers, so the broadcast distances tie bitwise.
+    # With |a| ~ 1e15 the screened |x|^2 - 2 x.c + |c|^2 is rounding noise, so
+    # only the exact re-rank can give the tie to the lower index.
+    rng = np.random.default_rng(23)
+    tied = 0
+    for seed in range(40):
+        d = int(rng.integers(2, 8))
+        a = rng.integers(10**15, 2 * 10**15, size=d).astype(float)
+        t = rng.integers(1, 9, size=d) * rng.choice([-1.0, 1.0], size=d)
+        X = np.stack([a, a + 2 * t, a + t])
+        for max_iter in (0, 1, 2):
+            got = kmeans(X, 2, restarts=1, seed=seed, max_iter=max_iter)
+            want = sequential_kmeans(X, 2, restarts=1, seed=seed, max_iter=max_iter)
+            assert np.array_equal(got, want)
+        if np.random.default_rng(seed).integers(3) < 2:
+            # seeded at c0 or c1: the other end is the second centre, and the
+            # first centre's cluster (index 0) takes x
+            tied += 1
+            assert kmeans(X, 2, restarts=1, seed=seed, max_iter=0)[2] == 0
+    assert tied >= 10
+
+
+def test_kmeans_rejects_nonfinite_and_non_matrix_input():
+    X = np.random.default_rng(21).standard_normal((8, 3))
+    for bad in (np.nan, np.inf, -np.inf):
+        Y = X.copy()
+        Y[3, 1] = bad
+        with pytest.raises(ValueError):
+            kmeans(Y, k=2)
+    with pytest.raises(ValueError):
+        kmeans(X[:, 0], k=2)
+    # finite input whose squared distances overflow has no finite inertia
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+        kmeans(X * 1e200, k=2)
+
+
 # ---------------------------------------------------------------------------
 # NMI
 
@@ -252,6 +374,17 @@ def test_spectral_decay_rank_deficient():
     Z[:, 0] = 1.0  # rank one: everything past the first singular value is 0
     with pytest.raises(RankDeficient):
         spectral_decay(Z, exclude_top=2)
+
+
+def test_spectral_decay_rejects_nonfinite_and_non_matrix_input():
+    Z = normalize_rows(np.random.default_rng(22).standard_normal((6, 4)))
+    for bad in (np.nan, np.inf):
+        Y = Z.copy()
+        Y[2, 0] = bad
+        with pytest.raises(ValueError):
+            spectral_decay(Y)
+    with pytest.raises(ValueError):
+        spectral_decay(Z[0])
 
 
 def test_spectral_decay_needs_enough_dimensions():
