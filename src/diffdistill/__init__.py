@@ -25,14 +25,7 @@ from .distill import (
     psd_loss,
     row_softmax,
 )
-from .embeddings import (
-    EmbeddingBatch,
-    RawEmbeddingBatch,
-    cosine_similarity_matrix,
-    l2_normalize,
-    normalization_jacobian_apply,
-    normalize_rows,
-)
+from .embeddings import EmbeddingBatch, cosine_similarity_matrix, normalize_rows, pair_grad_to_raw
 from .errors import (
     DegenerateGraph,
     DegenerateGraphWarning,

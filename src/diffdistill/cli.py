@@ -9,7 +9,6 @@ the hash of the configuration that produced it (JSON meta field, or a leading
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import warnings
@@ -18,14 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, default_config_text, load_config
+from .config import ConfigError, RunConfig, canonical_hash, default_config_text, load_config
 from .diffusion import (
     DiffusionParams,
     build_affinity_batch,
-    build_affinity_knn,
-    diffuse_closed_form,
+    refine_similarity,
     refinement_objective,
-    transition_matrix,
 )
 from .distill import psd_grad, psd_loss, row_softmax
 from .embeddings import EmbeddingBatch, cosine_similarity_matrix, neighbor_ranking, normalize_rows
@@ -59,11 +56,6 @@ def _error_record(exc: Exception, exit_code: int) -> int:
     return exit_code
 
 
-def _params_hash(parts: dict) -> str:
-    canonical = "\n".join(f"{k}={parts[k]}" for k in sorted(parts))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
-
-
 def _normalized_batch(table: EmbeddingTable) -> EmbeddingBatch:
     return EmbeddingBatch(normalize_rows(table.vectors), table.labels)
 
@@ -72,26 +64,33 @@ def _normalized_batch(table: EmbeddingTable) -> EmbeddingBatch:
 # train
 
 
-def _history_rows(result, ks):
-    header = (
-        ["epoch", "distill_weight", "dml_loss", "distill_loss"]
-        + [f"recall@{k}" for k in ks]
-        + ["nmi", "density_ratio", "spectral_decay", "train_density_ratio", "train_spectral_decay"]
-    )
-    rows = [header]
-    for rec in result.history:
-        rows.append(
-            [rec.epoch, repr(rec.distill_weight), repr(rec.dml_loss), repr(rec.distill_loss)]
-            + [repr(rec.test_report.recall_at[k]) for k in ks]
-            + [
-                repr(rec.test_report.nmi),
-                repr(rec.test_report.density_ratio),
-                repr(rec.test_report.spectral_decay),
-                repr(rec.train_density_ratio),
-                repr(rec.train_spectral_decay),
-            ]
-        )
-    return rows
+_EPOCH_FIELDS = ("epoch", "distill_weight", "dml_loss", "distill_loss")
+
+
+def _epoch_record(rec) -> dict:
+    """One epoch as the run JSON stores it; the history CSV and `final` read it too."""
+    report = rec.test_report.to_json_dict()
+    del report["meta"]
+    return {
+        **{name: getattr(rec, name) for name in _EPOCH_FIELDS},
+        **report,
+        "train_density_ratio": rec.train_density_ratio,
+        "train_spectral_decay": rec.train_spectral_decay,
+    }
+
+
+def _csv_rows(records: list[dict]) -> list[list]:
+    """A header and one repr row per record; a dict field gives a `field@key` column per key."""
+    flat = []
+    for record in records:
+        cells = {}
+        for key, value in record.items():
+            if isinstance(value, dict):
+                cells.update((f"{key}@{k}", v) for k, v in value.items())
+            else:
+                cells[key] = value
+        flat.append(cells)
+    return [list(flat[0])] + [[repr(v) for v in cells.values()] for cells in flat]
 
 
 def _embedding_table(batch: EmbeddingBatch) -> EmbeddingTable:
@@ -105,19 +104,6 @@ def run_training(config: RunConfig, seed: int, distill_mode: str | None = None):
         config.dataset_spec(seed), config["num_train_classes"]
     )
     return train(train_set, test_set, config.trainer_config(distill_mode), seed=seed)
-
-
-def _final_metrics_dict(result) -> dict:
-    final = result.history[-1]
-    return {
-        "recall": {str(k): v for k, v in sorted(final.test_report.recall_at.items())},
-        "nmi": final.test_report.nmi,
-        "density_ratio": final.test_report.density_ratio,
-        "spectral_decay": final.test_report.spectral_decay,
-        "train_density_ratio": final.train_density_ratio,
-        "train_spectral_decay": final.train_spectral_decay,
-        "diffusion_seconds": result.diffusion_seconds,
-    }
 
 
 def cmd_train(args) -> int:
@@ -137,11 +123,13 @@ def cmd_train(args) -> int:
     per_seed = {}
     for seed in seeds:
         result = run_training(config, seed)
-        write_csv_rows(out_dir / f"history_seed{seed}.csv", _history_rows(result, ks), chash)
+        history = [_epoch_record(rec) for rec in result.history]
+        write_csv_rows(out_dir / f"history_seed{seed}.csv", _csv_rows(history), chash)
         for split, batch in (("train", result.final_train), ("test", result.final_test)):
             path = out_dir / f"embeddings_{split}_seed{seed}.csv"
             write_embeddings_csv(path, _embedding_table(batch), config_hash=chash)
-        final = _final_metrics_dict(result)
+        final = {key: value for key, value in history[-1].items() if key not in _EPOCH_FIELDS}
+        final["diffusion_seconds"] = result.diffusion_seconds
         write_json(
             out_dir / f"run_seed{seed}.json",
             {
@@ -153,21 +141,7 @@ def cmd_train(args) -> int:
                     "config": config.as_flat_dict(),
                 },
                 "final": final,
-                "history": [
-                    {
-                        "epoch": rec.epoch,
-                        "distill_weight": rec.distill_weight,
-                        "dml_loss": rec.dml_loss,
-                        "distill_loss": rec.distill_loss,
-                        "recall": {str(k): v for k, v in sorted(rec.test_report.recall_at.items())},
-                        "nmi": rec.test_report.nmi,
-                        "density_ratio": rec.test_report.density_ratio,
-                        "spectral_decay": rec.test_report.spectral_decay,
-                        "train_density_ratio": rec.train_density_ratio,
-                        "train_spectral_decay": rec.train_spectral_decay,
-                    }
-                    for rec in result.history
-                ],
+                "history": history,
             },
         )
         per_seed[str(seed)] = final
@@ -207,15 +181,15 @@ def cmd_diffuse(args) -> int:
     batch_all = _normalized_batch(table)
     n = batch_all.n
     params = DiffusionParams(omega=args.omega, degree_epsilon=args.degree_epsilon)
-    chash = _params_hash(
+    chash = canonical_hash(
         {
             "command": "diffuse",
             "input": Path(args.embeddings).name,
-            "omega": repr(args.omega),
+            "omega": args.omega,
             "mode": args.mode,
             "knn_k": args.knn_k,
             "batch_size": args.batch_size,
-            "degree_epsilon": repr(args.degree_epsilon),
+            "degree_epsilon": args.degree_epsilon,
         }
     )
 
@@ -232,22 +206,21 @@ def cmd_diffuse(args) -> int:
             spans[-2:] = [(spans[-2][0], n)]
         if spans[0][1] - spans[0][0] < 2:
             raise CliValidationError("need at least 2 rows to diffuse")
+    knn_k = args.knn_k if args.mode == "global" else None
     blocks = []
     for batch_index, (start, stop) in enumerate(spans):
         sub = EmbeddingBatch(batch_all.vectors[start:stop], batch_all.labels[start:stop])
-        D = cosine_similarity_matrix(sub)
-        if args.mode == "global":
-            graph = build_affinity_knn(sub, args.knn_k, params)
-        else:
-            graph = build_affinity_batch(sub, params)
-        if graph.degenerate_rows:
-            rows = [start + r for r in graph.degenerate_rows]
+        with warnings.catch_warnings():
+            # reported below, once, with file row numbers
+            warnings.simplefilter("ignore", DegenerateGraphWarning)
+            result = refine_similarity(sub, cosine_similarity_matrix(sub), params, knn_k)
+        if result.degenerate_rows:
+            rows = [start + r for r in result.degenerate_rows]
             print(
                 json.dumps({"warning": "DegenerateGraph", "batch": batch_index, "rows": rows}),
                 file=sys.stderr,
             )
-        A = diffuse_closed_form(transition_matrix(graph), D, args.omega)
-        blocks.append((batch_index, np.arange(start, stop), A))
+        blocks.append((batch_index, np.arange(start, stop), result.matrix))
 
     out_dir = Path(args.out_dir)
     write_similarity_csv(out_dir / "refined_similarity.csv", blocks, config_hash=chash)
@@ -277,11 +250,11 @@ def cmd_eval(args) -> int:
         density_distance=args.density_distance,
     )
     payload = report.to_json_dict()
-    payload["meta"]["config_hash"] = _params_hash(
+    payload["meta"]["config_hash"] = canonical_hash(
         {
             "command": "eval",
             "input": Path(args.embeddings).name,
-            "ks": ",".join(str(k) for k in ks),
+            "ks": tuple(ks),
             "kmeans_restarts": args.kmeans_restarts,
             "seed": args.seed if args.seed is not None else 0,
             "density_distance": args.density_distance,
@@ -297,107 +270,77 @@ def cmd_eval(args) -> int:
 # gradcheck
 
 
-def _gradcheck_distill(rng, trials, corrupt=False):
-    worst = 0.0
-    worst_case = None
-    for _ in range(trials):
-        n = int(rng.integers(3, 9))
-        d = int(rng.integers(2, 7))
-        tau = float(rng.choice([0.5, 1.0, 2.0]))
-        V = rng.standard_normal((n, d)) * float(rng.uniform(0.5, 2.0))
-        target = rng.standard_normal((n, n))
-        target = (target + target.T) / 2.0
-        analytic = psd_grad(V, row_softmax(target, tau), tau)
-        if corrupt:
-            analytic = analytic + 1e-3
-        step = 1e-6
-        fd = np.zeros_like(V)
-        for idx in np.ndindex(V.shape):
-            plus, minus = V.copy(), V.copy()
-            plus[idx] += step
-            minus[idx] -= step
-            fd[idx] = (
-                psd_loss(target, cosine_similarity_matrix(normalize_rows(plus)), tau)
-                - psd_loss(target, cosine_similarity_matrix(normalize_rows(minus)), tau)
-            ) / (2 * step)
-        rel = float(np.abs(analytic - fd).max() / (np.abs(fd).max() + 1e-12))
-        if rel > worst:
-            worst = rel
-            worst_case = {"V": V.tolist(), "target": target.tolist(), "tau": tau}
-    return worst, worst_case
+def _fd_grad(f, x: np.ndarray, step: float) -> np.ndarray:
+    """Central differences of the scalar function f at every entry of x."""
+    grad = np.zeros_like(x)
+    for idx in np.ndindex(x.shape):
+        plus, minus = x.copy(), x.copy()
+        plus[idx] += step
+        minus[idx] -= step
+        grad[idx] = (f(plus) - f(minus)) / (2 * step)
+    return grad
 
 
-def _gradcheck_baseline(rng, trials, corrupt=False):
-    worst = 0.0
-    worst_case = None
-    for _ in range(trials):
-        n = int(rng.integers(4, 9))
-        d = int(rng.integers(2, 7))
-        margin = float(rng.uniform(0.1, 0.8))
-        V = rng.standard_normal((n, d))
-        labels = rng.integers(0, max(2, n // 2), size=n)
-        if np.unique(labels).size < 2 or np.unique(labels).size == n:
-            labels[0] = labels[1]  # guarantee one positive pair
-            labels[-1] = labels[0] + 1  # and one negative
-        _, analytic = baseline_contrastive_loss_and_grad(V, labels, margin)
-        if corrupt:
-            analytic = analytic + 1e-3
-        step = 1e-6
-        fd = np.zeros_like(V)
-        for idx in np.ndindex(V.shape):
-            plus, minus = V.copy(), V.copy()
-            plus[idx] += step
-            minus[idx] -= step
-            fd[idx] = (
-                baseline_contrastive_loss_and_grad(plus, labels, margin)[0]
-                - baseline_contrastive_loss_and_grad(minus, labels, margin)[0]
-            ) / (2 * step)
-        rel = float(np.abs(analytic - fd).max() / (np.abs(fd).max() + 1e-12))
-        if rel > worst:
-            worst = rel
-            worst_case = {"V": V.tolist(), "labels": labels.tolist(), "margin": margin}
-    return worst, worst_case
+# Each trial draws one random instance and returns (value, instance); a check
+# passes when the worst value over all trials stays below its threshold.
 
 
-def _gradcheck_stationarity(rng, trials, corrupt=False):
-    worst = 0.0
-    worst_case = None
-    for _ in range(trials):
-        n = int(rng.integers(4, 11))
-        d = int(rng.integers(3, 7))
-        omega = float(rng.choice([0.1, 0.5, 0.9]))
-        params = DiffusionParams(omega=omega)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateGraphWarning)
-            while True:
-                # stationarity holds on graphs whose degrees needed no flooring
-                Z = normalize_rows(rng.standard_normal((n, d)))
-                batch = EmbeddingBatch(Z, np.zeros(n, dtype=np.int64))
-                graph = build_affinity_batch(batch, params)
-                if not graph.degenerate_rows:
-                    break
-        D = cosine_similarity_matrix(batch)
-        S = transition_matrix(graph)
-        A = diffuse_closed_form(S, D, omega)
-        if corrupt:
-            A = A + 1e-3
-        step = 1e-5
-        max_grad = 0.0
-        for idx in np.ndindex(A.shape):
-            plus, minus = A.copy(), A.copy()
-            plus[idx] += step
-            minus[idx] -= step
-            grad = (
-                refinement_objective(plus, graph.W, graph.degrees, D, omega)
-                - refinement_objective(minus, graph.W, graph.degrees, D, omega)
-            ) / (2 * step)
-            max_grad = max(max_grad, abs(grad))
-        bound = 1e-6 * (1.0 + float(np.abs(D).max()))
-        ratio = max_grad / bound
-        if ratio > worst:
-            worst = ratio
-            worst_case = {"Z": Z.tolist(), "omega": omega, "max_grad": max_grad, "bound": bound}
-    return worst, worst_case
+def _distill_trial(rng, corrupt: bool):
+    n = int(rng.integers(3, 9))
+    d = int(rng.integers(2, 7))
+    tau = float(rng.choice([0.5, 1.0, 2.0]))
+    V = rng.standard_normal((n, d)) * float(rng.uniform(0.5, 2.0))
+    target = rng.standard_normal((n, n))
+    target = (target + target.T) / 2.0
+    analytic = psd_grad(V, row_softmax(target, tau), tau)
+    if corrupt:
+        analytic = analytic + 1e-3
+    fd = _fd_grad(
+        lambda W: psd_loss(target, cosine_similarity_matrix(normalize_rows(W)), tau), V, 1e-6
+    )
+    rel = float(np.abs(analytic - fd).max() / (np.abs(fd).max() + 1e-12))
+    return rel, {"V": V.tolist(), "target": target.tolist(), "tau": tau}
+
+
+def _baseline_trial(rng, corrupt: bool):
+    n = int(rng.integers(4, 9))
+    d = int(rng.integers(2, 7))
+    margin = float(rng.uniform(0.1, 0.8))
+    V = rng.standard_normal((n, d))
+    labels = rng.integers(0, max(2, n // 2), size=n)
+    if np.unique(labels).size < 2 or np.unique(labels).size == n:
+        labels[0] = labels[1]  # guarantee one positive pair
+        labels[-1] = labels[0] + 1  # and one negative
+    _, analytic = baseline_contrastive_loss_and_grad(V, labels, margin)
+    if corrupt:
+        analytic = analytic + 1e-3
+    fd = _fd_grad(lambda W: baseline_contrastive_loss_and_grad(W, labels, margin)[0], V, 1e-6)
+    rel = float(np.abs(analytic - fd).max() / (np.abs(fd).max() + 1e-12))
+    return rel, {"V": V.tolist(), "labels": labels.tolist(), "margin": margin}
+
+
+def _stationarity_trial(rng, corrupt: bool):
+    n = int(rng.integers(4, 11))
+    d = int(rng.integers(3, 7))
+    omega = float(rng.choice([0.1, 0.5, 0.9]))
+    params = DiffusionParams(omega=omega)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateGraphWarning)
+        while True:
+            # stationarity holds on graphs whose degrees needed no flooring
+            Z = normalize_rows(rng.standard_normal((n, d)))
+            batch = EmbeddingBatch(Z, np.zeros(n, dtype=np.int64))
+            graph = build_affinity_batch(batch, params)
+            if not graph.degenerate_rows:
+                break
+    D = cosine_similarity_matrix(batch)
+    A = refine_similarity(batch, D, params).matrix
+    if corrupt:
+        A = A + 1e-3
+    grad = _fd_grad(lambda M: refinement_objective(M, graph.W, graph.degrees, D, omega), A, 1e-5)
+    max_grad = float(np.abs(grad).max())
+    bound = 1e-6 * (1.0 + float(np.abs(D).max()))
+    return max_grad / bound, {"Z": Z.tolist(), "omega": omega, "max_grad": max_grad, "bound": bound}
 
 
 def cmd_gradcheck(args) -> int:
@@ -405,16 +348,20 @@ def cmd_gradcheck(args) -> int:
         raise CliValidationError("trials must be >= 1")
     seed = args.seed if args.seed is not None else 0
     rng = np.random.default_rng(seed)
-    chash = _params_hash({"command": "gradcheck", "seed": seed, "trials": args.trials})
+    chash = canonical_hash({"command": "gradcheck", "seed": seed, "trials": args.trials})
     checks = [
-        ("distill_grad_rel_err", _gradcheck_distill, 1e-5),
-        ("baseline_grad_rel_err", _gradcheck_baseline, 1e-5),
-        ("stationarity_over_bound", _gradcheck_stationarity, 1.0),
+        ("distill_grad_rel_err", _distill_trial, 1e-5),
+        ("baseline_grad_rel_err", _baseline_trial, 1e-5),
+        ("stationarity_over_bound", _stationarity_trial, 1.0),
     ]
     failed = False
     results = {}
-    for name, fn, threshold in checks:
-        worst, worst_case = fn(rng, args.trials, corrupt=args.corrupt)
+    for name, trial, threshold in checks:
+        worst, worst_case = 0.0, None
+        for _ in range(args.trials):
+            value, instance = trial(rng, args.corrupt)
+            if value > worst:
+                worst, worst_case = value, instance
         ok = worst < threshold
         results[name] = {"max": worst, "threshold": threshold, "pass": bool(ok)}
         print(f"{name}: max={worst:.3e} threshold={threshold:.3e} -> {'PASS' if ok else 'FAIL'}")
@@ -472,13 +419,13 @@ def cmd_sweep(args) -> int:
 
     seeds = [args.seed] if args.seed is not None else list(config["seeds"])
     out_dir = Path(config["out_dir"])
-    chash = _params_hash(
+    chash = canonical_hash(
         {
             "command": "sweep",
             "base_config": config.config_hash(),
             "parameter": args.parameter,
-            "values": ",".join(repr(v) for v in values),
-            "seeds": ",".join(str(s) for s in seeds),
+            "values": tuple(values),
+            "seeds": tuple(seeds),
         }
     )
     rows = [["parameter", "value", "seeds", "recall@1_mean", "recall@1_std", "nmi_mean", "nmi_std", "status"]]

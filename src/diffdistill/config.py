@@ -111,6 +111,12 @@ def _canonical_value(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
+def canonical_hash(values: dict) -> str:
+    """First 16 hex digits of sha256 over the sorted ``key=canonical value`` lines."""
+    canonical = "\n".join(f"{key}={_canonical_value(values[key])}" for key in sorted(values))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+
+
 def default_config_text() -> str:
     lines = [
         "# full run configuration; every key must be present",
@@ -129,10 +135,7 @@ class RunConfig:
         return self.values[key]
 
     def config_hash(self) -> str:
-        canonical = "\n".join(
-            f"{key}={_canonical_value(self.values[key])}" for key in sorted(self.values)
-        )
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+        return canonical_hash(self.values)
 
     def dataset_spec(self, run_seed: int) -> SyntheticDatasetSpec:
         v = self.values

@@ -16,7 +16,7 @@ plus ((1-omega)/omega) ||A - D||_F^2 anchoring A to the initial similarities.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,7 +35,6 @@ class DiffusionParams:
     mode: str = CLOSED_FORM
     max_iter: int = 500
     tol: float = 1e-10
-    affinity_clamp: str = "clamp_negative_to_zero"
     degree_epsilon: float = 1e-8
 
     def __post_init__(self):
@@ -47,8 +46,6 @@ class DiffusionParams:
             raise ValueError("max_iter must be positive")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.affinity_clamp != "clamp_negative_to_zero":
-            raise ValueError(f"unknown affinity_clamp {self.affinity_clamp!r}")
 
 
 @dataclass(frozen=True)
@@ -70,9 +67,12 @@ class AffinityGraph:
 
 @dataclass(frozen=True)
 class DiffusionResult:
+    """A refined matrix and what the solve did; iterations is 0 for the closed form."""
+
     matrix: np.ndarray
     iterations: int
     converged: bool
+    degenerate_rows: tuple[int, ...] = field(default=())
 
 
 def _finalize_affinity(W: np.ndarray, degree_epsilon: float) -> AffinityGraph:
@@ -160,11 +160,11 @@ def diffuse_iterative(S: np.ndarray, F0: np.ndarray, params: DiffusionParams) ->
 
 def refine_similarity(
     batch: EmbeddingBatch, D: np.ndarray, params: DiffusionParams, knn_k: int | None = None
-) -> np.ndarray:
+) -> DiffusionResult:
     """Affinity -> transition -> diffusion in one step, using params.mode.
 
     `knn_k` switches the graph to mutual-kNN (global-manifold style); None uses
-    the full batch affinity.
+    the full batch affinity. The result carries the graph's degenerate rows.
     """
     if knn_k is None:
         graph = build_affinity_batch(batch, params)
@@ -172,8 +172,10 @@ def refine_similarity(
         graph = build_affinity_knn(batch, knn_k, params)
     S = transition_matrix(graph)
     if params.mode == CLOSED_FORM:
-        return diffuse_closed_form(S, D, params.omega)
-    return diffuse_iterative(S, D, params).matrix
+        result = DiffusionResult(diffuse_closed_form(S, D, params.omega), 0, True)
+    else:
+        result = diffuse_iterative(S, D, params)
+    return replace(result, degenerate_rows=graph.degenerate_rows)
 
 
 def refinement_objective(A, W, degrees, D, omega: float) -> float:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import cosine_similarity_matrix, normalize_rows
+from .embeddings import cosine_similarity_matrix, normalize_rows, pair_grad_to_raw
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,4 @@ def psd_grad(student_raw, target_soft, tau: float) -> np.ndarray:
     norms = np.linalg.norm(V, axis=1)
     Z = normalize_rows(V)
     P = row_softmax(cosine_similarity_matrix(Z), tau)
-    G = (P - T) / (n * tau)
-    grad_z = (G + G.T) @ Z
-    radial = np.sum(grad_z * Z, axis=1, keepdims=True)
-    return (grad_z - radial * Z) / norms[:, None]
+    return pair_grad_to_raw((P - T) / (n * tau), Z, norms)

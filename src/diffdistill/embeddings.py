@@ -36,32 +36,6 @@ def _as_labels(labels, n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class RawEmbeddingBatch:
-    """Pre-normalization encoder outputs with integer class labels.
-
-    Every row must have strictly positive norm; normalization rejects rows
-    below ZERO_NORM_EPS.
-    """
-
-    vectors: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        vec = _as_matrix(self.vectors)
-        lab = _as_labels(self.labels, vec.shape[0])
-        object.__setattr__(self, "vectors", vec)
-        object.__setattr__(self, "labels", lab)
-
-    @property
-    def n(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
-
-@dataclass(frozen=True)
 class EmbeddingBatch:
     """Row-wise unit-norm embeddings with integer class labels."""
 
@@ -90,19 +64,18 @@ class EmbeddingBatch:
         return self.vectors.shape[1]
 
 
+def _reject_zero_norms(norms: np.ndarray, eps: float) -> None:
+    bad = np.nonzero(norms < eps)[0]
+    if bad.size:
+        raise ZeroNormRow(int(bad[0]), float(norms[bad[0]]))
+
+
 def normalize_rows(vectors, eps: float = ZERO_NORM_EPS) -> np.ndarray:
     """Divide each row by its Euclidean norm. Raises ZeroNormRow below eps."""
     vec = _as_matrix(vectors)
     norms = np.linalg.norm(vec, axis=1)
-    bad = np.nonzero(norms < eps)[0]
-    if bad.size:
-        raise ZeroNormRow(int(bad[0]), float(norms[bad[0]]))
+    _reject_zero_norms(norms, eps)
     return vec / norms[:, None]
-
-
-def l2_normalize(batch: RawEmbeddingBatch, eps: float = ZERO_NORM_EPS) -> EmbeddingBatch:
-    """Map v_i to z_i = v_i / ||v_i||, preserving labels."""
-    return EmbeddingBatch(normalize_rows(batch.vectors, eps=eps), batch.labels)
 
 
 def cosine_similarity_matrix(batch: EmbeddingBatch | np.ndarray) -> np.ndarray:
@@ -133,16 +106,15 @@ def neighbor_ranking(similarity: np.ndarray, top: int) -> np.ndarray:
     return order
 
 
-def normalization_jacobian_apply(v, upstream, eps: float = ZERO_NORM_EPS) -> np.ndarray:
-    """Apply the Jacobian of v -> v/||v|| to an upstream gradient vector.
+def pair_grad_to_raw(G, Z, norms, eps: float = ZERO_NORM_EPS) -> np.ndarray:
+    """Chain dL/dD = G through D = Z Z^T and z_i = v_i/||v_i|| to dL/dV.
 
-    Returns (1/||v||)(I - z z^T) upstream with z = v/||v||; the output is
-    orthogonal to z, reflecting that normalized embeddings move on the sphere.
+    Z holds the unit rows and `norms` the raw norms ||v_i||. Row c is
+    (1/||v_c||)(I - z_c z_c^T) sum_j (G_cj + G_jc) z_j: the normalization
+    Jacobian removes the radial part, so each output row is orthogonal to z_c.
+    Raises ZeroNormRow for a norm below eps.
     """
-    v = np.asarray(v, dtype=np.float64)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    norm = float(np.linalg.norm(v))
-    if norm < eps:
-        raise ZeroNormRow(0, norm)
-    z = v / norm
-    return (upstream - z * float(z @ upstream)) / norm
+    _reject_zero_norms(norms, eps)
+    grad_z = (G + G.T) @ Z
+    radial = np.sum(grad_z * Z, axis=1, keepdims=True)
+    return (grad_z - radial * Z) / norms[:, None]

@@ -16,15 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffusion import (
-    DiffusionParams,
-    build_affinity_knn,
-    diffuse_closed_form,
-    refine_similarity,
-    transition_matrix,
-)
+from .diffusion import DiffusionParams, refine_similarity
 from .distill import DistillConfig, dynamic_weight, psd_grad, psd_loss, row_softmax
-from .embeddings import EmbeddingBatch, cosine_similarity_matrix, normalize_rows
+from .embeddings import EmbeddingBatch, cosine_similarity_matrix, normalize_rows, pair_grad_to_raw
 from .errors import InsufficientClasses, NoValidPairs
 from .metrics import EUCLIDEAN, MetricsReport, embedding_density, evaluate_batch, spectral_decay
 
@@ -252,9 +246,7 @@ def baseline_contrastive_loss_and_grad(
         loss += float(np.mean(np.maximum(viol, 0.0)))
         active = viol > 0
         g_pairs[iu[neg][active], ju[neg][active]] += 1.0 / n_neg
-    grad_z = (g_pairs + g_pairs.T) @ Z
-    radial = np.sum(grad_z * Z, axis=1, keepdims=True)
-    return loss, (grad_z - radial * Z) / norms[:, None]
+    return loss, pair_grad_to_raw(g_pairs, Z, norms)
 
 
 # ---------------------------------------------------------------------------
@@ -349,27 +341,13 @@ def batch_step_gradients(
             started = time.perf_counter()
             target = refine_similarity(
                 teacher_batch, cosine_similarity_matrix(z_teacher), cfg.diffusion
-            )
+            ).matrix
             diff_seconds += time.perf_counter() - started
         student_D = cosine_similarity_matrix(normalize_rows(V))
         distill_loss = psd_loss(target, student_D, cfg.tau)
         d_raw = d_raw + weight * psd_grad(V, row_softmax(target, cfg.tau), cfg.tau)
     grads = encoder_backward(student, caches, d_raw)
     return dml_loss, distill_loss, grads, diff_seconds
-
-
-def _global_refined_similarity(
-    teacher: EncoderParams, train_set: Dataset, cfg: TrainerConfig
-) -> tuple[np.ndarray, float]:
-    """Offline diffusion over the whole training set on a mutual-kNN graph."""
-    raw, _ = encoder_forward(teacher, train_set.inputs)
-    z = normalize_rows(raw)
-    batch = EmbeddingBatch(z, train_set.labels)
-    D = cosine_similarity_matrix(z)
-    started = time.perf_counter()
-    graph = build_affinity_knn(batch, cfg.knn_k, cfg.diffusion)
-    A = diffuse_closed_form(transition_matrix(graph), D, cfg.diffusion.omega)
-    return A, time.perf_counter() - started
 
 
 def train(
@@ -406,8 +384,12 @@ def train(
             and cfg.diffusion_scope == SCOPE_GLOBAL
             and weight != 0.0
         ):
-            global_A, spent = _global_refined_similarity(teacher, train_set, cfg)
-            diffusion_seconds += spent
+            # offline diffusion over the whole training set on a mutual-kNN graph
+            teacher_all = embed_dataset(teacher, train_set)
+            D = cosine_similarity_matrix(teacher_all)
+            started = time.perf_counter()
+            global_A = refine_similarity(teacher_all, D, cfg.diffusion, knn_k=cfg.knn_k).matrix
+            diffusion_seconds += time.perf_counter() - started
 
         dml_losses, distill_losses = [], []
         for _ in range(batches_per_epoch):

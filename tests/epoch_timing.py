@@ -1,4 +1,4 @@
-"""Wall time of one training epoch's per-batch diffusion, for the linearity gates."""
+"""Wall time of one training epoch's diffusion, for the timing gates."""
 
 import time
 
@@ -9,24 +9,24 @@ from diffdistill.embeddings import EmbeddingBatch, cosine_similarity_matrix
 
 
 def epoch_diffusion_seconds(
-    sizes: list[int],
-    batch_size: int,
+    epochs: list[tuple[int, int, int | None]],
     dim: int,
     params: DiffusionParams,
     repeats: int = 5,
     seed: int = 0,
 ) -> list[float]:
-    """Per dataset size, the fastest of `repeats` epochs of per-batch refinement.
+    """Per epoch (n, batch_size, knn_k), the fastest of `repeats` epochs of refinement.
 
-    Each size's random unit embeddings are split into consecutive batches of
-    batch_size (the tail remainder is dropped, matching the training loop),
-    and affinity + normalization + solve is timed over all batches. Every
-    repeat times all sizes back to back, so a slow spell on a shared host
-    hits each size alike instead of one size's whole series; each size keeps
-    its minimum.
+    Each epoch's n random unit embeddings are split into consecutive batches
+    of batch_size (the tail remainder is dropped, matching the training loop;
+    batch_size = n is one offline solve over the whole set), and affinity
+    (mutual-kNN when knn_k is set) + normalization + solve is timed over all
+    batches. Every repeat times all epochs back to back, so a slow spell on a
+    shared host hits each epoch alike instead of one epoch's whole series;
+    each epoch keeps its minimum.
     """
-    epochs = []
-    for n in sizes:
+    prepared = []
+    for n, batch_size, knn_k in epochs:
         rng = np.random.default_rng(seed)
         raw = rng.standard_normal((n, dim))
         z = raw / np.linalg.norm(raw, axis=1, keepdims=True)
@@ -36,13 +36,13 @@ def epoch_diffusion_seconds(
             for start in range(0, n - batch_size + 1, batch_size)
         ]
         # warm up BLAS paths outside the timed region
-        refine_similarity(batches[0], cosine_similarity_matrix(batches[0]), params)
-        epochs.append(batches)
-    best = [np.inf] * len(sizes)
+        refine_similarity(batches[0], cosine_similarity_matrix(batches[0]), params, knn_k)
+        prepared.append((batches, knn_k))
+    best = [np.inf] * len(epochs)
     for _ in range(repeats):
-        for j, batches in enumerate(epochs):
+        for j, (batches, knn_k) in enumerate(prepared):
             started = time.perf_counter()
             for batch in batches:
-                refine_similarity(batch, cosine_similarity_matrix(batch), params)
+                refine_similarity(batch, cosine_similarity_matrix(batch), params, knn_k)
             best[j] = min(best[j], time.perf_counter() - started)
     return best

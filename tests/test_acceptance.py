@@ -332,15 +332,23 @@ def test_criterion_8_noise_robustness_trend(clean_runs, noisy_runs):
 def test_criterion_9_batch_vs_global_parity(clean_runs, global_runs):
     batch_r1 = float(np.mean([final_r1(r) for r in clean_runs["obdsd"]]))
     global_r1 = float(np.mean([final_r1(r) for r in global_runs]))
-    batch_time = sum(r.diffusion_seconds for r in clean_runs["obdsd"])
-    global_time = sum(r.diffusion_seconds for r in global_runs)
+    # one epoch of each scope at the criterion's sizes, interleaved, min of 5
+    n = CONFIG["num_train_classes"] * CONFIG["samples_per_class"]
+    batch_time, global_time = epoch_diffusion_seconds(
+        [(n, CONFIG["batch_size"], None), (n, n, CONFIG["knn_k"])],
+        dim=CONFIG["embed_dim"],
+        params=CONFIG.diffusion_params(),
+        repeats=5,
+        seed=0,
+    )
     gap = abs(batch_r1 - global_r1)
     ok = gap <= 0.02 and batch_time < global_time
     report(
         9,
         "batch vs offline-global diffusion: R@1 within 2 points, batch faster",
         ok,
-        f"(batch {batch_r1:.4f} in {batch_time:.3f}s, global {global_r1:.4f} in {global_time:.3f}s)",
+        f"(batch {batch_r1:.4f} in {batch_time * 1e3:.3f}ms, "
+        f"global {global_r1:.4f} in {global_time * 1e3:.3f}ms per epoch)",
     )
 
 
@@ -348,7 +356,7 @@ def test_criterion_10_linear_epoch_cost():
     params = DiffusionParams(omega=0.5)
     sizes = [2048, 4096, 8192]
     times = epoch_diffusion_seconds(
-        sizes, batch_size=32, dim=16, params=params, repeats=5, seed=0
+        [(n, 32, None) for n in sizes], dim=16, params=params, repeats=5, seed=0
     )
     scale = sum(t * s for t, s in zip(times, sizes)) / sum(s * s for s in sizes)
     deviations = [abs(t - scale * s) / (scale * s) for t, s in zip(times, sizes)]

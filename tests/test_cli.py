@@ -103,6 +103,22 @@ def test_train_zero_lambda_history_matches_baseline_preset(tmp_path):
     assert rows_a == rows_b
 
 
+def test_history_csv_rows_equal_json_history_records(tmp_path):
+    # recall_ks out of order and repeated: each K still gets exactly one column
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config_text(out_dir=str(tmp_path / "out"), recall_ks="2,1,2"))
+    assert main(["train", str(cfg), "--seed", "0"]) == 0
+    lines = data_rows(tmp_path / "out" / "history_seed0.csv")
+    header, *rows = [line.split(",") for line in lines]
+    history = read_json(tmp_path / "out" / "run_seed0.json")["history"]
+    assert len(rows) == len(history) == 3
+    for row, record in zip(rows, history):
+        flat = {f"recall@{k}": v for k, v in record.pop("recall").items()}
+        flat.update(record)
+        assert sorted(header) == sorted(flat)
+        assert row == [repr(flat[column]) for column in header]
+
+
 def test_train_missing_field_exit_2(tmp_path, capsys):
     cfg = tmp_path / "broken.cfg"
     cfg.write_text("\n".join(l for l in config_text().splitlines() if not l.startswith("tau")))
@@ -167,6 +183,23 @@ def test_diffuse_global_saturated_knn_equals_single_batch(tmp_path):
     assert set(batch) == set(globl)
     for key in batch:
         assert batch[key] == pytest.approx(globl[key], abs=1e-8)
+
+
+def test_diffuse_reports_degenerate_row_once_with_file_index(tmp_path):
+    rng = np.random.default_rng(3)
+    vectors = np.array([1.0, 0.0, 0.0]) + 0.1 * rng.standard_normal((8, 3))
+    vectors[6] = [-1.0, 0.0, 0.0]  # opposite every other row of the second batch
+    write_table(tmp_path / "emb.csv", vectors, np.zeros(8, dtype=int))
+    result = subprocess.run(
+        [sys.executable, "-m", "diffdistill.cli", "diffuse", str(tmp_path / "emb.csv"),
+         "--omega", "0.5", "--batch-size", "4", "--out-dir", str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0
+    assert result.stderr.splitlines() == [
+        json.dumps({"warning": "DegenerateGraph", "batch": 1, "rows": [6]})
+    ]
 
 
 def test_diffuse_two_row_file(tmp_path):

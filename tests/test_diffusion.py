@@ -238,9 +238,11 @@ def test_refine_similarity_solver_modes_agree():
     iterated = refine_similarity(
         batch, D, DiffusionParams(omega=0.6, mode="iterative", tol=1e-12, max_iter=20000)
     )
-    assert np.abs(closed - iterated).max() < 1e-8
+    assert (closed.iterations, closed.converged) == (0, True)
+    assert iterated.converged and iterated.iterations > 0
+    assert np.abs(closed.matrix - iterated.matrix).max() < 1e-8
     knn = refine_similarity(batch, D, DiffusionParams(omega=0.6), knn_k=3)
-    assert knn.shape == D.shape and np.all(np.isfinite(knn))
+    assert knn.matrix.shape == D.shape and np.all(np.isfinite(knn.matrix))
 
 
 def test_diffusion_linear_in_initial_state():
@@ -347,7 +349,7 @@ def test_epoch_diffusion_time_scales_linearly():
     params = DiffusionParams(omega=0.5)
     sizes = [2048, 4096, 8192]
     times = epoch_diffusion_seconds(
-        sizes, batch_size=32, dim=16, params=params, repeats=5, seed=0
+        [(n, 32, None) for n in sizes], dim=16, params=params, repeats=5, seed=0
     )
     scale = sum(t * s for t, s in zip(times, sizes)) / sum(s * s for s in sizes)
     for size, t in zip(sizes, times):

@@ -5,27 +5,23 @@ from diffdistill.diffusion import mutual_knn_mask
 from diffdistill.embeddings import (
     RANKING_BLOCK_ROWS,
     EmbeddingBatch,
-    RawEmbeddingBatch,
     cosine_similarity_matrix,
-    l2_normalize,
     neighbor_ranking,
-    normalization_jacobian_apply,
     normalize_rows,
+    pair_grad_to_raw,
 )
 from diffdistill.errors import ZeroNormRow
 
 
 def test_normalize_three_four_vector():
-    batch = RawEmbeddingBatch(np.array([[3.0, 4.0]]), np.array([0]))
-    out = l2_normalize(batch)
-    np.testing.assert_allclose(out.vectors, [[0.6, 0.8]], rtol=0, atol=1e-15)
+    out = normalize_rows(np.array([[3.0, 4.0]]))
+    np.testing.assert_allclose(out, [[0.6, 0.8]], rtol=0, atol=1e-15)
 
 
 def test_normalize_axis_vectors():
-    batch = RawEmbeddingBatch(np.array([[1.0, 0.0], [0.0, 2.0]]), np.array([0, 1]))
-    out = l2_normalize(batch)
-    np.testing.assert_array_equal(out.vectors, np.eye(2))
-    np.testing.assert_array_equal(out.labels, [0, 1])
+    batch = EmbeddingBatch(normalize_rows(np.array([[1.0, 0.0], [0.0, 2.0]])), np.array([0, 1]))
+    np.testing.assert_array_equal(batch.vectors, np.eye(2))
+    np.testing.assert_array_equal(batch.labels, [0, 1])
 
 
 def test_normalize_random_rows_unit_and_idempotent():
@@ -51,7 +47,7 @@ def test_embedding_batch_rejects_non_unit_rows():
 
 def test_labels_length_must_match():
     with pytest.raises(ValueError):
-        RawEmbeddingBatch(np.ones((3, 2)), np.array([0, 1]))
+        EmbeddingBatch(normalize_rows(np.ones((3, 2))), np.array([0, 1]))
 
 
 def test_cosine_identical_vectors_all_ones():
@@ -89,33 +85,47 @@ def test_cosine_invariant_under_positive_rescaling():
     np.testing.assert_allclose(D1, D2, atol=1e-12)
 
 
+def unit_rows_and_norms(rng, n, d):
+    V = rng.standard_normal((n, d)) * rng.uniform(0.2, 5.0, size=(n, 1))
+    return V, normalize_rows(V), np.linalg.norm(V, axis=1)
+
+
 def test_jacobian_kills_radial_direction():
-    e1 = np.array([1.0, 0.0, 0.0])
-    np.testing.assert_allclose(normalization_jacobian_apply(e1, e1), np.zeros(3), atol=1e-15)
+    # a diagonal G only moves each z_i along itself, which normalization undoes
+    rng = np.random.default_rng(5)
+    _, Z, norms = unit_rows_and_norms(rng, 4, 3)
+    G = np.diag(rng.standard_normal(4))
+    np.testing.assert_allclose(pair_grad_to_raw(G, Z, norms), np.zeros((4, 3)), atol=1e-15)
 
 
 def test_jacobian_passes_orthogonal_component():
     e1 = np.array([1.0, 0.0, 0.0])
     e2 = np.array([0.0, 1.0, 0.0])
-    np.testing.assert_allclose(normalization_jacobian_apply(e1, e2), e2, atol=1e-15)
+    G = np.array([[0.0, 1.0], [0.0, 0.0]])  # dL/dD_01 = 1: row 0 is pulled along e2, row 1 along e1
+    out = pair_grad_to_raw(G, np.array([e1, e2]), np.ones(2))
+    np.testing.assert_allclose(out, [e2, e1], atol=1e-15)
 
 
 def test_jacobian_matches_finite_differences():
     rng = np.random.default_rng(3)
     step = 1e-6
     for _ in range(20):
+        n = int(rng.integers(2, 6))
         d = int(rng.integers(2, 8))
-        v = rng.standard_normal(d) * float(rng.uniform(0.5, 3.0))
-        upstream = rng.standard_normal(d)
-        analytic = normalization_jacobian_apply(v, upstream)
-        fd = np.zeros(d)
-        for k in range(d):
-            plus, minus = v.copy(), v.copy()
-            plus[k] += step
-            minus[k] -= step
-            f_plus = float((plus / np.linalg.norm(plus)) @ upstream)
-            f_minus = float((minus / np.linalg.norm(minus)) @ upstream)
-            fd[k] = (f_plus - f_minus) / (2 * step)
+        V, Z, norms = unit_rows_and_norms(rng, n, d)
+        G = rng.standard_normal((n, n))
+        analytic = pair_grad_to_raw(G, Z, norms)
+
+        def loss(W):
+            U = W / np.linalg.norm(W, axis=1, keepdims=True)
+            return float(np.sum(G * (U @ U.T)))
+
+        fd = np.zeros_like(V)
+        for idx in np.ndindex(V.shape):
+            plus, minus = V.copy(), V.copy()
+            plus[idx] += step
+            minus[idx] -= step
+            fd[idx] = (loss(plus) - loss(minus)) / (2 * step)
         rel = np.abs(analytic - fd).max() / (np.abs(fd).max() + 1e-12)
         assert rel < 1e-6
 
@@ -123,15 +133,16 @@ def test_jacobian_matches_finite_differences():
 def test_jacobian_output_orthogonal_to_direction():
     rng = np.random.default_rng(4)
     for _ in range(50):
-        v = rng.standard_normal(5) * float(rng.uniform(0.2, 5.0))
-        out = normalization_jacobian_apply(v, rng.standard_normal(5))
-        z = v / np.linalg.norm(v)
-        assert abs(out @ z) < 1e-10
+        _, Z, norms = unit_rows_and_norms(rng, 5, 5)
+        out = pair_grad_to_raw(rng.standard_normal((5, 5)), Z, norms)
+        assert np.abs(np.sum(out * Z, axis=1)).max() < 1e-10
 
 
 def test_jacobian_rejects_zero_vector():
-    with pytest.raises(ZeroNormRow):
-        normalization_jacobian_apply(np.zeros(3), np.ones(3))
+    V = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(ZeroNormRow) as info:
+        pair_grad_to_raw(np.ones((2, 2)), V, np.linalg.norm(V, axis=1))
+    assert info.value.row == 1
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from diffdistill.diffusion import DiffusionParams
 from diffdistill.distill import psd_loss
 from diffdistill.embeddings import cosine_similarity_matrix, normalize_rows
-from diffdistill.errors import InsufficientClasses, NoValidPairs
+from diffdistill.errors import InsufficientClasses, NotConverged, NoValidPairs
 from diffdistill.training import (
     Dataset,
     SyntheticDatasetSpec,
@@ -356,3 +356,11 @@ def test_global_scope_runs_and_times_diffusion():
     result = train(train_set, test_set, cfg, seed=0)
     assert result.diffusion_seconds > 0.0
     assert len(result.history) == 2
+
+
+def test_global_scope_honours_solver_settings():
+    train_set, test_set = zero_shot_task(SPEC, 8)
+    iterative = DiffusionParams(omega=0.5, mode="iterative", max_iter=1)
+    cfg = small_config(epochs=2, diffusion_scope="global", knn_k=10, diffusion=iterative)
+    with pytest.raises(NotConverged):
+        train(train_set, test_set, cfg, seed=0)
