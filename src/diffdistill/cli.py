@@ -21,6 +21,7 @@ from .config import ConfigError, RunConfig, canonical_hash, default_config_text,
 from .diffusion import (
     DiffusionParams,
     build_affinity_batch,
+    check_dense_rows,
     refine_similarity,
     refinement_objective,
 )
@@ -196,6 +197,7 @@ def cmd_diffuse(args) -> int:
     if args.mode == "global":
         if not 1 <= args.knn_k < n:
             raise CliValidationError(f"knn_k must satisfy 1 <= k < n={n}, got {args.knn_k}")
+        check_dense_rows(n)
         spans = [(0, n)]
     else:
         if args.batch_size < 2:

@@ -26,6 +26,18 @@ from .errors import DegenerateGraph, DegenerateGraphWarning, NotConverged, Singu
 CLOSED_FORM = "closed_form"
 ITERATIVE = "iterative"
 
+# The global graph is solved densely: `diffuse --mode global` peaked at ~103 B
+# per n^2 entry at n = 2000, so 6,144 rows need ~3.9 GB.
+MAX_DENSE_ROWS = 6144
+
+
+def check_dense_rows(n: int) -> None:
+    """Raise ValueError when a dense global diffusion over n rows exceeds MAX_DENSE_ROWS."""
+    if n > MAX_DENSE_ROWS:
+        raise ValueError(
+            f"global diffusion is dense (n^2 memory): {n} rows exceed MAX_DENSE_ROWS={MAX_DENSE_ROWS}"
+        )
+
 
 @dataclass(frozen=True)
 class DiffusionParams:

@@ -93,6 +93,10 @@ def neighbor_ranking(similarity: np.ndarray, top: int) -> np.ndarray:
 
     Order: descending similarity, self excluded, ties broken by lower index.
     Rows are ranked RANKING_BLOCK_ROWS at a time, so scratch stays block x n.
+    `argpartition` picks `top` candidates per row, sorted by (value, index).
+    The candidates are exactly the stable-argsort prefix unless the cut value
+    also sits at a column outside them (or is NaN); such rows take the stable
+    argsort itself, so the result never depends on argpartition's tie choice.
     """
     n = similarity.shape[0]
     if not 1 <= top < n:
@@ -102,7 +106,15 @@ def neighbor_ranking(similarity: np.ndarray, top: int) -> np.ndarray:
         stop = min(start + RANKING_BLOCK_ROWS, n)
         negated = -similarity[start:stop]
         negated[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        order[start:stop] = np.argsort(negated, axis=1, kind="stable")[:, :top]
+        candidates = np.sort(np.argpartition(negated, top - 1, axis=1)[:, :top], axis=1)
+        values = np.take_along_axis(negated, candidates, axis=1)
+        ranked = np.argsort(values, axis=1, kind="stable")
+        block = np.take_along_axis(candidates, ranked, axis=1)
+        cut = values.max(axis=1, keepdims=True)  # NaN if any candidate is NaN
+        spill = np.isnan(cut[:, 0]) | ((negated == cut).sum(axis=1) > (values == cut).sum(axis=1))
+        if spill.any():
+            block[spill] = np.argsort(negated[spill], axis=1, kind="stable")[:, :top]
+        order[start:stop] = block
     return order
 
 

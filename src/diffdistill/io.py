@@ -16,14 +16,19 @@ import operator
 import os
 import struct
 import tempfile
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 BINARY_MAGIC = b"OBSD"
 BINARY_VERSION = 1
+FORMAT_SPAN_ROWS = 64
+PARALLEL_FORMAT_VALUES = 1 << 20
 
 
 class FormatError(ValueError):
@@ -69,9 +74,9 @@ def _atomic_open(path: str | Path, binary: bool = False):
         raise
 
 
-def _write_row(handle, prefix: str, middles: list[str], values: list[float]) -> None:
-    """One line per value, `prefix + middle + repr(value)`, in a single write."""
-    handle.write(prefix + ("\n" + prefix).join(map(operator.add, middles, map(repr, values))) + "\n")
+def _row_text(prefix: str, middles: list[str], values: list[float]) -> str:
+    """One line per value, `prefix + middle + repr(value)`."""
+    return prefix + ("\n" + prefix).join(map(operator.add, middles, map(repr, values))) + "\n"
 
 
 def write_csv_rows(path: str | Path, rows, config_hash: str) -> None:
@@ -174,15 +179,66 @@ def write_similarity_csv(
     """Long-form refined similarities: one (batch, i, j, value) row per pair.
 
     `blocks` holds (batch_index, global_row_indices, matrix) triples; i and j
-    are row indices of the input embedding file. Streams one matrix row per write.
+    are row indices of the input embedding file. Streams FORMAT_SPAN_ROWS matrix
+    rows per write; a block of PARALLEL_FORMAT_VALUES or more values is
+    formatted on every CPU in the affinity mask (`_write_spans`).
     """
     with _atomic_open(path) as handle:
         handle.write(f"# config_hash={config_hash}\nbatch,i,j,value\n")
         for batch_index, indices, matrix in blocks:
             indices = indices.tolist()
-            cols = [f",{gj}," for gj in indices]
-            for gi, row in zip(indices, matrix):
-                _write_row(handle, f"{batch_index},{gi}", cols, row.tolist())
+            prefixes = [f"{batch_index},{gi}" for gi in indices]
+            _write_spans(handle, prefixes, [f",{gj}," for gj in indices], matrix)
+
+
+def _format_span(rows, span: tuple[int, int]) -> str:
+    """The lines of matrix rows span[0]:span[1] of a (prefixes, middles, matrix) block."""
+    prefixes, middles, matrix = rows
+    start, stop = span
+    return "".join(map(_row_text, prefixes[start:stop], repeat(middles), matrix[start:stop].tolist()))
+
+
+_forked_rows = None  # set only inside a pool worker, to the one block its pool formats
+
+
+def _adopt_rows(rows) -> None:
+    global _forked_rows
+    _forked_rows = rows
+
+
+def _format_forked_span(span: tuple[int, int]) -> str:
+    return _format_span(_forked_rows, span)
+
+
+def _write_spans(handle, prefixes: list[str], middles: list[str], matrix: np.ndarray) -> None:
+    """Write `_format_span` of every FORMAT_SPAN_ROWS rows of the block, in order.
+
+    `float.__repr__` dominates the cost and spans are independent, so a large
+    block is formatted in a pool of one process per CPU in the affinity mask;
+    the bytes do not depend on the worker count. The workers are forked and
+    inherit the block, so the matrix is never pickled. At most 2 x workers
+    spans are in flight, so formatted text waiting to be written stays bounded.
+    """
+    rows, n = (prefixes, middles, matrix), len(prefixes)
+    spans = [(start, min(start + FORMAT_SPAN_ROWS, n)) for start in range(0, n, FORMAT_SPAN_ROWS)]
+    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if matrix.size >= PARALLEL_FORMAT_VALUES and workers > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, context, _adopt_rows, (rows,)) as pool:
+                pending = deque()
+                for span in spans:
+                    pending.append(pool.submit(_format_forked_span, span))
+                    if len(pending) == 2 * workers:
+                        handle.write(pending.popleft().result())
+                for future in pending:
+                    handle.write(future.result())
+            return
+    handle.writelines(map(partial(_format_span, rows), spans))
 
 
 def read_similarity_csv(path: str | Path) -> dict[tuple[int, int], float]:
@@ -210,7 +266,7 @@ def write_neighbors_csv(
         for indices, neighbors, scores in blocks:
             for gi, row_neighbors, row_scores in zip(indices.tolist(), neighbors.tolist(), scores.tolist()):
                 middles = [f",{rank},{j}," for rank, j in enumerate(row_neighbors, start=1)]
-                _write_row(handle, str(gi), middles, row_scores)
+                handle.write(_row_text(str(gi), middles, row_scores))
 
 
 def write_json(path: str | Path, payload: dict) -> None:

@@ -7,8 +7,10 @@ import sys
 import numpy as np
 import pytest
 
+from diffdistill import cli, training
 from diffdistill.cli import main
 from diffdistill.config import default_config_text
+from diffdistill.diffusion import MAX_DENSE_ROWS
 from diffdistill.embeddings import EmbeddingBatch, normalize_rows
 from diffdistill.io import (
     EmbeddingTable,
@@ -270,6 +272,33 @@ def test_diffuse_bad_omega_exit_2(tmp_path):
     write_table(tmp_path / "emb.csv", [[1.0, 0.0], [0.0, 1.0]], [0, 1])
     assert main(["diffuse", str(tmp_path / "emb.csv"), "--omega", "1.0",
                  "--out-dir", str(tmp_path)]) == 2
+
+
+def refuse_dense(*args):
+    raise AssertionError("n^2 similarity built before the scale guard")
+
+
+def test_diffuse_global_above_dense_bound_exit_2(tmp_path, monkeypatch, capsys):
+    n = MAX_DENSE_ROWS + 1
+    angles = np.linspace(0.0, 6.0, n)
+    write_table(tmp_path / "emb.csv", np.column_stack([np.cos(angles), np.sin(angles)]), np.zeros(n, dtype=int))
+    monkeypatch.setattr(cli, "cosine_similarity_matrix", refuse_dense)
+    assert main(["diffuse", str(tmp_path / "emb.csv"), "--omega", "0.5", "--mode", "global",
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert "MAX_DENSE_ROWS" in json.loads(capsys.readouterr().err)["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_global_scope_above_dense_bound_exit_2(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config_text(
+        num_train_classes=2, num_test_classes=2, samples_per_class=MAX_DENSE_ROWS // 2 + 1,
+        input_dim=2, diffusion_scope="global", out_dir=str(tmp_path / "out"),
+    ))
+    monkeypatch.setattr(training, "cosine_similarity_matrix", refuse_dense)
+    assert main(["train", str(cfg)]) == 2
+    assert "MAX_DENSE_ROWS" in json.loads(capsys.readouterr().err)["message"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_diffuse_zero_row_exit_3(tmp_path):

@@ -183,11 +183,12 @@ def test_neighbor_ranking_matches_brute_force_oracle(n):
     inputs = [
         tie_heavy_similarities(n, seed=n),
         np.round(rng.uniform(-1, 1, size=(n, n)), 1),  # asymmetric, ties everywhere
+        np.full((n, n), 0.5),  # every row ties at every cut
     ]
     for s in inputs:
         before = s.copy()
         oracle = np.array(ranking_oracle(s))
-        for top in (1, n - 1):
+        for top in (1, 7, 50, n - 1):
             np.testing.assert_array_equal(neighbor_ranking(s, top), oracle[:, :top])
         np.testing.assert_array_equal(s, before)  # input untouched
 
@@ -202,6 +203,14 @@ def test_mutual_knn_mask_matches_per_row_loop(n):
 def test_neighbor_ranking_self_is_excluded_even_when_not_maximal():
     s = np.array([[0.0, 0.5, 0.5], [0.9, 0.1, 0.9], [1.0, 1.0, 1.0]])
     np.testing.assert_array_equal(neighbor_ranking(s, 2), [[1, 2], [0, 2], [0, 1]])
+
+
+def test_neighbor_ranking_nan_at_the_cut_keeps_stable_argsort_order():
+    # NaN sorts after every number, even the self entry's +inf, in index order
+    s = np.full((8, 8), np.nan)
+    s[:, 0] = 1.0
+    expected = [[0, 1, 2], [0, 1, 2]] + [[0, i, 1] for i in range(2, 8)]
+    np.testing.assert_array_equal(neighbor_ranking(s, 3), expected)
 
 
 @pytest.mark.parametrize("top", [0, 3])

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from diffdistill import io
 from diffdistill.io import (
     BINARY_MAGIC,
     EmbeddingTable,
@@ -179,20 +185,85 @@ def test_neighbors_writer_matches_per_element_format(tmp_path):
     assert path.read_bytes() == old_neighbors_text(old, "c0ffee").encode("utf-8")
 
 
-def test_failed_stream_leaves_target_and_no_temp_file(tmp_path):
+def force_parallel(monkeypatch, cpus, threshold=64):
+    """Blocks of `threshold` or more values take the pool path on `cpus` workers."""
+    monkeypatch.setattr(io, "PARALLEL_FORMAT_VALUES", threshold)
+    monkeypatch.setattr(io, "FORMAT_SPAN_ROWS", 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def tiled_blocks():
+    """A small block, then AWKWARD tiled over 61 x 61 values: 8 spans, the last one short."""
+    n = 61
+    return [awkward_blocks()[1], (4, np.arange(n)[::-1] + 3, np.resize(np.array(AWKWARD), (n, n)))]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_parallel_similarity_writer_matches_per_element_format(tmp_path, monkeypatch, cpus):
+    force_parallel(monkeypatch, cpus)
     path = tmp_path / "sim.csv"
-    path.write_text("previous contents\n")
+    write_similarity_csv(path, tiled_blocks(), config_hash="c0ffee")
+    assert path.read_bytes() == old_similarity_text(tiled_blocks(), "c0ffee").encode("utf-8")
 
-    def blocks_then_failure():
-        yield awkward_blocks()[0]
-        raise RuntimeError("boom")
 
-    with pytest.raises(RuntimeError, match="boom"):
-        write_similarity_csv(path, blocks_then_failure(), config_hash="x")
-    assert path.read_text() == "previous contents\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["sim.csv"]
+def test_failed_stream_leaves_target_and_no_temp_file(tmp_path, monkeypatch):
+    for threshold in (io.PARALLEL_FORMAT_VALUES, 1):  # the failing block is serial, then parallel
+        force_parallel(monkeypatch, 2, threshold)
+        path = tmp_path / "sim.csv"
+        path.write_text("previous contents\n")
 
-    fresh = tmp_path / "fresh.csv"
-    with pytest.raises(RuntimeError):
-        write_similarity_csv(fresh, blocks_then_failure(), config_hash="x")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["sim.csv"]
+        def blocks_then_failure():
+            yield awkward_blocks()[0]
+            raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError, match="boom"):
+            write_similarity_csv(path, blocks_then_failure(), config_hash="x")
+        assert path.read_text() == "previous contents\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sim.csv"]
+
+        fresh = tmp_path / "fresh.csv"
+        with pytest.raises(RuntimeError):
+            write_similarity_csv(fresh, blocks_then_failure(), config_hash="x")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sim.csv"]
+
+
+def test_parallel_worker_exception_propagates_and_leaves_no_temp_file(tmp_path, monkeypatch):
+    force_parallel(monkeypatch, 2)
+    parent = os.getpid()
+    row_text = io._row_text
+
+    def fails_in_worker(*args):
+        if os.getpid() != parent:
+            raise ValueError("worker failed")
+        return row_text(*args)
+
+    monkeypatch.setattr(io, "_row_text", fails_in_worker)  # forked workers inherit the patch
+    with pytest.raises(ValueError, match="worker failed"):
+        write_similarity_csv(tmp_path / "sim.csv", tiled_blocks(), config_hash="x")
+    assert list(tmp_path.iterdir()) == []
+
+
+WORKER_DIES = """
+import os
+from concurrent.futures.process import BrokenProcessPool
+import numpy as np
+from diffdistill import io
+io.PARALLEL_FORMAT_VALUES = 64
+os.sched_getaffinity = lambda pid: {0, 1}
+io._row_text = lambda *args: os._exit(7)
+try:
+    io.write_similarity_csv("sim.csv", [(0, np.arange(20), np.zeros((20, 20)))], "x")
+except BrokenProcessPool:
+    print("broken", sorted(os.listdir(".")))
+"""
+
+
+def test_parallel_worker_death_raises_broken_pool(tmp_path):
+    src = str(Path(io.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", WORKER_DIES], cwd=tmp_path, env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "broken []\n"
