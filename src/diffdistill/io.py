@@ -16,6 +16,8 @@ import operator
 import os
 import struct
 import tempfile
+import threading
+import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -201,9 +203,21 @@ def _format_span(rows, span: tuple[int, int]) -> str:
 _forked_rows = None  # set only inside a pool worker, to the one block its pool formats
 
 
-def _adopt_rows(rows) -> None:
+def _adopt_rows(rows, parent: int) -> None:
+    """Pool initializer: keep the block; exit once the parent process is gone.
+
+    A forked worker holds both ends of the task queue, so it never sees EOF
+    there; without the watchdog a killed parent would leave it blocked forever.
+    """
     global _forked_rows
     _forked_rows = rows
+    threading.Thread(target=_exit_when_orphaned, args=(parent,), daemon=True).start()
+
+
+def _exit_when_orphaned(parent: int) -> None:
+    while os.getppid() == parent:
+        time.sleep(0.5)
+    os._exit(1)
 
 
 def _format_forked_span(span: tuple[int, int]) -> str:
@@ -229,7 +243,7 @@ def _write_spans(handle, prefixes: list[str], middles: list[str], matrix: np.nda
             from concurrent.futures import ProcessPoolExecutor
 
             context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, context, _adopt_rows, (rows,)) as pool:
+            with ProcessPoolExecutor(workers, context, _adopt_rows, (rows, os.getpid())) as pool:
                 pending = deque()
                 for span in spans:
                     pending.append(pool.submit(_format_forked_span, span))

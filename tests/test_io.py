@@ -1,4 +1,6 @@
 import os
+import select
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -267,3 +269,43 @@ def test_parallel_worker_death_raises_broken_pool(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "broken []\n"
+
+
+WORKER_STALLS = """
+import os, time
+import numpy as np
+from diffdistill import io
+io.PARALLEL_FORMAT_VALUES = 64
+io.FORMAT_SPAN_ROWS = 4
+os.sched_getaffinity = lambda pid: {0, 1}
+
+def stall(*args):
+    print(os.getpid(), flush=True)
+    time.sleep(300)
+
+io._row_text = stall
+io.write_similarity_csv("sim.csv", [(0, np.arange(20), np.zeros((20, 20)))], "x")
+"""
+
+
+def test_parallel_workers_exit_when_the_writer_is_killed(tmp_path):
+    src = str(Path(io.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", WORKER_STALLS], cwd=tmp_path, env=env, stdout=subprocess.PIPE, text=True
+    )
+    workers = []
+    try:
+        while len(workers) < 2:  # both workers are stalled in a span
+            assert select.select([proc.stdout], [], [], 60)[0], "a worker did not start"
+            workers.append(int(proc.stdout.readline()))
+        proc.kill()
+        proc.wait(timeout=60)
+        # the workers hold the stdout pipe, so EOF means both have exited
+        proc.communicate(timeout=30)
+    except subprocess.TimeoutExpired:
+        for pid in workers:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        proc.kill()
