@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from .errors import DegenerateGraphWarning, DiffDistillError, KTooLarge
 from .io import (
     EmbeddingTable,
     FormatError,
+    fork_map,
     read_embeddings_auto,
     write_csv_rows,
     write_embeddings_csv,
@@ -122,8 +124,8 @@ def cmd_train(args) -> int:
     ks = list(config["recall_ks"])
 
     per_seed = {}
-    for seed in seeds:
-        result = run_training(config, seed)
+    # seeds train in forked workers; this process writes and prints, in seed order
+    for seed, result in zip(seeds, fork_map(partial(run_training, config), seeds)):
         history = [_epoch_record(rec) for rec in result.history]
         write_csv_rows(out_dir / f"history_seed{seed}.csv", _csv_rows(history), chash)
         for split, batch in (("train", result.final_train), ("test", result.final_test)):
@@ -215,7 +217,7 @@ def cmd_diffuse(args) -> int:
         with warnings.catch_warnings():
             # reported below, once, with file row numbers
             warnings.simplefilter("ignore", DegenerateGraphWarning)
-            result = refine_similarity(sub, cosine_similarity_matrix(sub), params, knn_k)
+            result = refine_similarity(cosine_similarity_matrix(sub), params, knn_k)
         if result.degenerate_rows:
             rows = [start + r for r in result.degenerate_rows]
             print(
@@ -331,12 +333,11 @@ def _stationarity_trial(rng, corrupt: bool):
         while True:
             # stationarity holds on graphs whose degrees needed no flooring
             Z = normalize_rows(rng.standard_normal((n, d)))
-            batch = EmbeddingBatch(Z, np.zeros(n, dtype=np.int64))
-            graph = build_affinity_batch(batch, params)
+            D = cosine_similarity_matrix(Z)
+            graph = build_affinity_batch(D, params)
             if not graph.degenerate_rows:
                 break
-    D = cosine_similarity_matrix(batch)
-    A = refine_similarity(batch, D, params).matrix
+    A = refine_similarity(D, params).matrix
     if corrupt:
         A = A + 1e-3
     grad = _fd_grad(lambda M: refinement_objective(M, graph.W, graph.degrees, D, omega), A, 1e-5)

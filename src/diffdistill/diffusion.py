@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .embeddings import EmbeddingBatch, cosine_similarity_matrix, neighbor_ranking
+from .embeddings import neighbor_ranking
 from .errors import DegenerateGraph, DegenerateGraphWarning, NotConverged, SingularSystem
 
 CLOSED_FORM = "closed_form"
@@ -103,12 +103,14 @@ def _finalize_affinity(W: np.ndarray, degree_epsilon: float) -> AffinityGraph:
     return AffinityGraph(W=W, degrees=degrees, degenerate_rows=tuple(int(i) for i in degenerate))
 
 
-def build_affinity_batch(batch: EmbeddingBatch, params: DiffusionParams) -> AffinityGraph:
-    """Full clamped-cosine affinity of a batch: W_ij = max(z_i . z_j, 0), W_ii = 0."""
-    if batch.n < 2:
+def build_affinity_batch(similarity: np.ndarray, params: DiffusionParams) -> AffinityGraph:
+    """Full clamped-cosine affinity of a batch: W_ij = max(D_ij, 0), W_ii = 0.
+
+    `similarity` is the batch's cosine matrix D; it is copied, not modified.
+    """
+    if similarity.shape[0] < 2:
         raise ValueError("affinity graph needs at least 2 points")
-    W = cosine_similarity_matrix(batch)
-    return _finalize_affinity(W, params.degree_epsilon)
+    return _finalize_affinity(np.array(similarity, dtype=np.float64), params.degree_epsilon)
 
 
 def mutual_knn_mask(similarity: np.ndarray, k: int) -> np.ndarray:
@@ -122,12 +124,11 @@ def mutual_knn_mask(similarity: np.ndarray, k: int) -> np.ndarray:
     return in_knn & in_knn.T
 
 
-def build_affinity_knn(batch: EmbeddingBatch, k: int, params: DiffusionParams) -> AffinityGraph:
-    """Mutual-kNN sparsified affinity: cosine similarity kept only on mutual top-k pairs."""
-    if batch.n < 2:
+def build_affinity_knn(similarity: np.ndarray, k: int, params: DiffusionParams) -> AffinityGraph:
+    """Mutual-kNN sparsified affinity: the cosine matrix D kept only on mutual top-k pairs."""
+    if similarity.shape[0] < 2:
         raise ValueError("affinity graph needs at least 2 points")
-    sims = cosine_similarity_matrix(batch)
-    W = np.where(mutual_knn_mask(sims, k), sims, 0.0)
+    W = np.where(mutual_knn_mask(similarity, k), similarity, 0.0)
     return _finalize_affinity(W, params.degree_epsilon)
 
 
@@ -171,17 +172,18 @@ def diffuse_iterative(S: np.ndarray, F0: np.ndarray, params: DiffusionParams) ->
 
 
 def refine_similarity(
-    batch: EmbeddingBatch, D: np.ndarray, params: DiffusionParams, knn_k: int | None = None
+    D: np.ndarray, params: DiffusionParams, knn_k: int | None = None
 ) -> DiffusionResult:
-    """Affinity -> transition -> diffusion in one step, using params.mode.
+    """Affinity -> transition -> diffusion of a batch's cosine matrix D, using params.mode.
 
-    `knn_k` switches the graph to mutual-kNN (global-manifold style); None uses
-    the full batch affinity. The result carries the graph's degenerate rows.
+    The graph is built from D itself. `knn_k` switches it to mutual-kNN
+    (global-manifold style); None uses the full batch affinity. The result
+    carries the graph's degenerate rows.
     """
     if knn_k is None:
-        graph = build_affinity_batch(batch, params)
+        graph = build_affinity_batch(D, params)
     else:
-        graph = build_affinity_knn(batch, knn_k, params)
+        graph = build_affinity_knn(D, knn_k, params)
     S = transition_matrix(graph)
     if params.mode == CLOSED_FORM:
         result = DiffusionResult(diffuse_closed_form(S, D, params.omega), 0, True)

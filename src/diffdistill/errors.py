@@ -1,8 +1,17 @@
 """Exception and warning types shared across the library."""
 
+import copyreg
+
 
 class DiffDistillError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.
+
+    Pickles as its message plus attributes, not its __init__ arguments, so
+    subclasses with their own __init__ still cross a process boundary.
+    """
+
+    def __reduce__(self):
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ZeroNormRow(DiffDistillError):

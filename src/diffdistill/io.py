@@ -182,15 +182,18 @@ def write_similarity_csv(
 
     `blocks` holds (batch_index, global_row_indices, matrix) triples; i and j
     are row indices of the input embedding file. Streams FORMAT_SPAN_ROWS matrix
-    rows per write; a block of PARALLEL_FORMAT_VALUES or more values is
-    formatted on every CPU in the affinity mask (`_write_spans`).
+    rows per write; `float.__repr__` dominates the cost and spans are
+    independent, so a block of PARALLEL_FORMAT_VALUES or more values is
+    formatted through `fork_map`. The bytes do not depend on the worker count.
     """
     with _atomic_open(path) as handle:
         handle.write(f"# config_hash={config_hash}\nbatch,i,j,value\n")
         for batch_index, indices, matrix in blocks:
-            indices = indices.tolist()
-            prefixes = [f"{batch_index},{gi}" for gi in indices]
-            _write_spans(handle, prefixes, [f",{gj}," for gj in indices], matrix)
+            indices, n = indices.tolist(), len(indices)
+            rows = ([f"{batch_index},{gi}" for gi in indices], [f",{gj}," for gj in indices], matrix)
+            spans = [(start, min(start + FORMAT_SPAN_ROWS, n)) for start in range(0, n, FORMAT_SPAN_ROWS)]
+            mapper = fork_map if matrix.size >= PARALLEL_FORMAT_VALUES else map
+            handle.writelines(mapper(partial(_format_span, rows), spans))
 
 
 def _format_span(rows, span: tuple[int, int]) -> str:
@@ -200,17 +203,51 @@ def _format_span(rows, span: tuple[int, int]) -> str:
     return "".join(map(_row_text, prefixes[start:stop], repeat(middles), matrix[start:stop].tolist()))
 
 
-_forked_rows = None  # set only inside a pool worker, to the one block its pool formats
+def fork_map(fn, items):
+    """Yield fn(item) for every item, in order, on every CPU in the affinity mask.
+
+    Runs min(len(items), affinity CPUs) workers forked from this process, or
+    builtin `map` when that is 1 or `fork` is unavailable. The workers inherit
+    `fn` through fork, so only items and results are pickled. At most
+    2 x workers items are in flight, so results waiting to be consumed stay
+    bounded.
+    """
+    items = list(items)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(items), cpus)
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            context = multiprocessing.get_context("fork")
+            pool = ProcessPoolExecutor(workers, context, _adopt, (fn, os.getpid()))
+            try:
+                pending = deque()
+                for item in items:
+                    pending.append(pool.submit(_call_adopted, item))
+                    if len(pending) == 2 * workers:
+                        yield pending.popleft().result()
+                while pending:
+                    yield pending.popleft().result()
+            finally:
+                pool.shutdown(cancel_futures=True)
+            return
+    yield from map(fn, items)
 
 
-def _adopt_rows(rows, parent: int) -> None:
-    """Pool initializer: keep the block; exit once the parent process is gone.
+_adopted_fn = None  # set only inside a `fork_map` worker, to the function its pool maps
+
+
+def _adopt(fn, parent: int) -> None:
+    """Pool initializer: keep `fn`; exit once the parent process is gone.
 
     A forked worker holds both ends of the task queue, so it never sees EOF
     there; without the watchdog a killed parent would leave it blocked forever.
     """
-    global _forked_rows
-    _forked_rows = rows
+    global _adopted_fn
+    _adopted_fn = fn
     threading.Thread(target=_exit_when_orphaned, args=(parent,), daemon=True).start()
 
 
@@ -220,39 +257,8 @@ def _exit_when_orphaned(parent: int) -> None:
     os._exit(1)
 
 
-def _format_forked_span(span: tuple[int, int]) -> str:
-    return _format_span(_forked_rows, span)
-
-
-def _write_spans(handle, prefixes: list[str], middles: list[str], matrix: np.ndarray) -> None:
-    """Write `_format_span` of every FORMAT_SPAN_ROWS rows of the block, in order.
-
-    `float.__repr__` dominates the cost and spans are independent, so a large
-    block is formatted in a pool of one process per CPU in the affinity mask;
-    the bytes do not depend on the worker count. The workers are forked and
-    inherit the block, so the matrix is never pickled. At most 2 x workers
-    spans are in flight, so formatted text waiting to be written stays bounded.
-    """
-    rows, n = (prefixes, middles, matrix), len(prefixes)
-    spans = [(start, min(start + FORMAT_SPAN_ROWS, n)) for start in range(0, n, FORMAT_SPAN_ROWS)]
-    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if matrix.size >= PARALLEL_FORMAT_VALUES and workers > 1:
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, context, _adopt_rows, (rows, os.getpid())) as pool:
-                pending = deque()
-                for span in spans:
-                    pending.append(pool.submit(_format_forked_span, span))
-                    if len(pending) == 2 * workers:
-                        handle.write(pending.popleft().result())
-                for future in pending:
-                    handle.write(future.result())
-            return
-    handle.writelines(map(partial(_format_span, rows), spans))
+def _call_adopted(item):
+    return _adopted_fn(item)
 
 
 def read_similarity_csv(path: str | Path) -> dict[tuple[int, int], float]:

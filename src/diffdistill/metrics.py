@@ -217,19 +217,14 @@ def embedding_density(
     off = ii != jj
     inter = float(np.mean(_pair_distance(means[ii[off]], means[jj[off]], distance)))
 
-    intra_terms = []
-    for c in classes:
-        members = Z[labels == c]
-        if members.shape[0] < 2:
-            continue
-        pi, pj = np.meshgrid(
-            np.arange(members.shape[0]), np.arange(members.shape[0]), indexing="ij"
-        )
-        keep = pi != pj
-        intra_terms.append(_pair_distance(members[pi[keep]], members[pj[keep]], distance))
-    if not intra_terms:
+    # ordered same-class pairs, class by class, in row-major order within a class
+    order = np.argsort(labels, kind="stable")
+    same = labels[order, None] == labels[order]
+    np.fill_diagonal(same, False)
+    pi, pj = np.nonzero(same)
+    if not pi.size:
         raise UndefinedDensity("need at least one class with >= 2 samples")
-    intra = float(np.mean(np.concatenate(intra_terms)))
+    intra = float(np.mean(_pair_distance(Z[order[pi]], Z[order[pj]], distance)))
     if inter == 0.0:
         raise UndefinedDensity("all class means coincide; inter-class distance is zero")
     return intra, inter, intra / inter

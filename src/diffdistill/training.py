@@ -231,21 +231,20 @@ def baseline_contrastive_loss_and_grad(
     norms = np.linalg.norm(V, axis=1)
     Z = normalize_rows(V)
     D = Z @ Z.T
-    iu, ju = np.triu_indices(n, k=1)
-    pos = labels[iu] == labels[ju]
-    neg = ~pos
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    same = labels[:, None] == labels
+    pos, neg = upper & same, upper & ~same  # boolean indexing reads pairs in row-major order
     g_pairs = np.zeros((n, n))
     loss = 0.0
-    n_pos = int(pos.sum())
-    n_neg = int(neg.sum())
+    n_pos = int(np.count_nonzero(pos))
+    n_neg = int(np.count_nonzero(neg))
     if n_pos:
-        loss += float(np.mean(1.0 - D[iu[pos], ju[pos]]))
-        g_pairs[iu[pos], ju[pos]] -= 1.0 / n_pos
+        loss += float(np.mean(1.0 - D[pos]))
+        g_pairs[pos] = -1.0 / n_pos
     if n_neg:
-        viol = D[iu[neg], ju[neg]] - margin
+        viol = D[neg] - margin
         loss += float(np.mean(np.maximum(viol, 0.0)))
-        active = viol > 0
-        g_pairs[iu[neg][active], ju[neg][active]] += 1.0 / n_neg
+        g_pairs[neg] = np.where(viol > 0, 1.0 / n_neg, 0.0)
     return loss, pair_grad_to_raw(g_pairs, Z, norms)
 
 
@@ -337,11 +336,8 @@ def batch_step_gradients(
         else:
             teacher_raw, _ = encoder_forward(teacher, X)
             z_teacher = normalize_rows(teacher_raw)
-            teacher_batch = EmbeddingBatch(z_teacher, y)
             started = time.perf_counter()
-            target = refine_similarity(
-                teacher_batch, cosine_similarity_matrix(z_teacher), cfg.diffusion
-            ).matrix
+            target = refine_similarity(cosine_similarity_matrix(z_teacher), cfg.diffusion).matrix
             diff_seconds += time.perf_counter() - started
         student_D = cosine_similarity_matrix(normalize_rows(V))
         distill_loss = psd_loss(target, student_D, cfg.tau)
@@ -390,7 +386,7 @@ def train(
             teacher_all = embed_dataset(teacher, train_set)
             D = cosine_similarity_matrix(teacher_all)
             started = time.perf_counter()
-            global_A = refine_similarity(teacher_all, D, cfg.diffusion, knn_k=cfg.knn_k).matrix
+            global_A = refine_similarity(D, cfg.diffusion, knn_k=cfg.knn_k).matrix
             diffusion_seconds += time.perf_counter() - started
 
         dml_losses, distill_losses = [], []

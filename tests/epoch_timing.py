@@ -36,13 +36,13 @@ def epoch_diffusion_seconds(
             for start in range(0, n - batch_size + 1, batch_size)
         ]
         # warm up BLAS paths outside the timed region
-        refine_similarity(batches[0], cosine_similarity_matrix(batches[0]), params, knn_k)
+        refine_similarity(cosine_similarity_matrix(batches[0]), params, knn_k)
         prepared.append((batches, knn_k))
     best = [np.inf] * len(epochs)
     for _ in range(repeats):
         for j, (batches, knn_k) in enumerate(prepared):
             started = time.perf_counter()
             for batch in batches:
-                refine_similarity(batch, cosine_similarity_matrix(batch), params, knn_k)
+                refine_similarity(cosine_similarity_matrix(batch), params, knn_k)
             best[j] = min(best[j], time.perf_counter() - started)
     return best

@@ -98,7 +98,7 @@ def test_criterion_1_solver_equivalence():
         D = cosine_similarity_matrix(batch)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateGraphWarning)
-            S = transition_matrix(build_affinity_batch(batch, DiffusionParams()))
+            S = transition_matrix(build_affinity_batch(cosine_similarity_matrix(batch), DiffusionParams()))
         for omega in (0.1, 0.5, 0.9, 0.99):
             closed = diffuse_closed_form(S, D, omega)
             iterated = diffuse_iterative(
@@ -129,7 +129,7 @@ def test_criterion_2_fixed_point_is_objective_minimum():
                 batch = EmbeddingBatch(
                     normalize_rows(rng.standard_normal((n, 5))), np.zeros(n, dtype=np.int64)
                 )
-                graph = build_affinity_batch(batch, DiffusionParams())
+                graph = build_affinity_batch(cosine_similarity_matrix(batch), DiffusionParams())
                 if not graph.degenerate_rows:
                     break
             D = cosine_similarity_matrix(batch)
@@ -197,7 +197,7 @@ def test_criterion_4_limit_behavior():
     rng = np.random.default_rng(400)
     batch = EmbeddingBatch(normalize_rows(rng.standard_normal((8, 5))), np.zeros(8, dtype=np.int64))
     D = cosine_similarity_matrix(batch)
-    S = transition_matrix(build_affinity_batch(batch, DiffusionParams()))
+    S = transition_matrix(build_affinity_batch(cosine_similarity_matrix(batch), DiffusionParams()))
     omega_gap = float(np.abs(diffuse_closed_form(S, D, 1e-9) - D).max())
 
     target = rng.standard_normal((6, 6))

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -91,6 +92,47 @@ def test_train_writes_all_artifacts(tmp_path):
     assert run_meta["config_hash"] == chash
     assert run_meta["config"]["lambda"] == 40.0
     assert "version" in run_meta
+
+
+def train_on_cpus(tmp_path, monkeypatch, capfd, cpus, **overrides):
+    """Run `train` from its own directory with the affinity mask forced to `cpus` CPUs.
+
+    capfd also sees what forked workers write to the inherited file descriptors.
+    """
+    run_dir = tmp_path / f"cpus{cpus}"
+    run_dir.mkdir()
+    (run_dir / "run.cfg").write_text(config_text(out_dir="out", **overrides))
+    monkeypatch.chdir(run_dir)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    code = main(["train", "run.cfg"])
+    return code, capfd.readouterr(), run_dir / "out"
+
+
+def test_train_artifacts_and_stdout_do_not_depend_on_cpu_count(tmp_path, monkeypatch, capfd):
+    # five seeds on two workers: more seeds than the four the pool keeps in flight
+    runs = [train_on_cpus(tmp_path, monkeypatch, capfd, cpus, seeds="0,1,2,3,4") for cpus in (1, 2)]
+    (code1, io1, out1), (code2, io2, out2) = runs
+    assert code1 == code2 == 0
+    assert io1.out == io2.out
+    assert [line.split(":")[0] for line in io1.out.splitlines()] == [f"seed {s}" for s in range(5)]
+    names = sorted(p.name for p in out1.iterdir())
+    assert names == sorted(p.name for p in out2.iterdir()) and len(names) == 21
+    mask = re.compile(rb'"diffusion_seconds": [0-9.e+-]+')
+    for name in names:
+        one, two = (out1 / name).read_bytes(), (out2 / name).read_bytes()
+        assert mask.sub(b"", one) == mask.sub(b"", two), name
+
+
+def test_train_worker_numerical_failure_exit_3_one_json_line(tmp_path, monkeypatch, capfd):
+    failing = {"diffusion_mode": "iterative", "max_iter": 1}
+    runs = [train_on_cpus(tmp_path, monkeypatch, capfd, cpus, **failing) for cpus in (1, 2)]
+    for code, captured, _ in runs:
+        assert code == 3
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        assert json.loads(lines[0])["error"] == "NotConverged"
+    listings = [sorted(p.name for p in out.iterdir()) if out.exists() else [] for _, _, out in runs]
+    assert listings[0] == listings[1]
 
 
 def test_train_zero_lambda_history_matches_baseline_preset(tmp_path):

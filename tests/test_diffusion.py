@@ -30,7 +30,7 @@ def unit_batch(rng, n, d, labels=None):
 
 def test_affinity_identical_pair():
     z = np.array([[1.0, 0.0], [1.0, 0.0]])
-    graph = build_affinity_batch(EmbeddingBatch(z, np.array([0, 0])), PARAMS)
+    graph = build_affinity_batch(cosine_similarity_matrix(z), PARAMS)
     np.testing.assert_allclose(graph.W, [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
     np.testing.assert_allclose(graph.degrees, [1.0, 1.0], atol=1e-15)
     assert graph.degenerate_rows == ()
@@ -38,7 +38,7 @@ def test_affinity_identical_pair():
 
 def test_affinity_orthogonal_pair_reports_degenerate_and_floors():
     with pytest.warns(DegenerateGraphWarning):
-        graph = build_affinity_batch(EmbeddingBatch(np.eye(2), np.array([0, 1])), PARAMS)
+        graph = build_affinity_batch(cosine_similarity_matrix(np.eye(2)), PARAMS)
     np.testing.assert_array_equal(graph.W, np.zeros((2, 2)))
     np.testing.assert_allclose(graph.degrees, [PARAMS.degree_epsilon] * 2)
     assert graph.degenerate_rows == (0, 1)
@@ -50,7 +50,7 @@ def test_affinity_two_clusters_cross_entries_clamp():
     pos = normalize_rows(np.array([1.0, 0.0, 0.0]) + 0.05 * rng.standard_normal((3, 3)))
     neg = normalize_rows(np.array([-1.0, 0.0, 0.0]) + 0.05 * rng.standard_normal((3, 3)))
     batch = EmbeddingBatch(np.vstack([pos, neg]), np.array([0, 0, 0, 1, 1, 1]))
-    graph = build_affinity_batch(batch, PARAMS)
+    graph = build_affinity_batch(cosine_similarity_matrix(batch), PARAMS)
     within = np.concatenate([graph.W[:3, :3][~np.eye(3, dtype=bool)],
                              graph.W[3:, 3:][~np.eye(3, dtype=bool)]])
     cross = graph.W[:3, 3:].ravel()
@@ -65,8 +65,8 @@ def test_knn_saturated_equals_batch_affinity():
     # cluster tightly so every similarity is positive
     z = normalize_rows(np.ones((5, 4)) + 0.1 * rng.standard_normal((5, 4)))
     batch = EmbeddingBatch(z, np.zeros(5, dtype=np.int64))
-    full = build_affinity_batch(batch, PARAMS)
-    knn = build_affinity_knn(batch, k=4, params=PARAMS)
+    full = build_affinity_batch(cosine_similarity_matrix(batch), PARAMS)
+    knn = build_affinity_knn(cosine_similarity_matrix(batch), k=4, params=PARAMS)
     np.testing.assert_allclose(knn.W, full.W, atol=1e-15)
 
 
@@ -75,7 +75,7 @@ def test_knn_far_clusters_have_no_cross_edges():
     a = normalize_rows(np.array([1.0, 0.0, 0.0, 0.0]) + 0.02 * rng.standard_normal((3, 4)))
     b = normalize_rows(np.array([0.0, 0.0, 0.0, 1.0]) + 0.02 * rng.standard_normal((3, 4)))
     batch = EmbeddingBatch(np.vstack([a, b]), np.array([0, 0, 0, 1, 1, 1]))
-    graph = build_affinity_knn(batch, k=2, params=PARAMS)
+    graph = build_affinity_knn(cosine_similarity_matrix(batch), k=2, params=PARAMS)
     # oracle: mutual-kNN membership by brute force
     sims = cosine_similarity_matrix(batch)
     for i in range(6):
@@ -94,9 +94,9 @@ def test_knn_k_bounds_enforced():
     rng = np.random.default_rng(8)
     batch = unit_batch(rng, 4, 3)
     with pytest.raises(ValueError):
-        build_affinity_knn(batch, k=4, params=PARAMS)
+        build_affinity_knn(cosine_similarity_matrix(batch), k=4, params=PARAMS)
     with pytest.raises(ValueError):
-        build_affinity_knn(batch, k=0, params=PARAMS)
+        build_affinity_knn(cosine_similarity_matrix(batch), k=0, params=PARAMS)
 
 
 # ---------------------------------------------------------------------------
@@ -104,9 +104,8 @@ def test_knn_k_bounds_enforced():
 
 
 def test_transition_unit_degrees_identity_scaling():
-    graph = build_affinity_batch(
-        EmbeddingBatch(np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([0, 0])), PARAMS
-    )
+    z = np.array([[1.0, 0.0], [1.0, 0.0]])
+    graph = build_affinity_batch(cosine_similarity_matrix(z), PARAMS)
     np.testing.assert_allclose(transition_matrix(graph), [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
 
 
@@ -148,7 +147,7 @@ def test_closed_form_tiny_omega_recovers_input():
     rng = np.random.default_rng(10)
     batch = unit_batch(rng, 6, 4)
     D = cosine_similarity_matrix(batch)
-    S = transition_matrix(build_affinity_batch(batch, PARAMS))
+    S = transition_matrix(build_affinity_batch(cosine_similarity_matrix(batch), PARAMS))
     A = diffuse_closed_form(S, D, omega=1e-9)
     assert np.abs(A - D).max() < 1e-7
 
@@ -157,7 +156,7 @@ def test_closed_form_identical_pair_fixed_point():
     z = np.array([[1.0, 0.0], [1.0, 0.0]])
     batch = EmbeddingBatch(z, np.array([0, 0]))
     D = cosine_similarity_matrix(batch)
-    S = transition_matrix(build_affinity_batch(batch, PARAMS))
+    S = transition_matrix(build_affinity_batch(cosine_similarity_matrix(batch), PARAMS))
     for omega in (0.1, 0.5, 0.9):
         A = diffuse_closed_form(S, D, omega)
         np.testing.assert_allclose(A, np.ones((2, 2)), atol=1e-12)
@@ -167,7 +166,7 @@ def test_closed_form_matches_iterative_fixed_point():
     rng = np.random.default_rng(11)
     batch = unit_batch(rng, 5, 3)
     D = cosine_similarity_matrix(batch)
-    S = transition_matrix(build_affinity_batch(batch, PARAMS))
+    S = transition_matrix(build_affinity_batch(cosine_similarity_matrix(batch), PARAMS))
     params = DiffusionParams(omega=0.5, tol=1e-12, max_iter=20000)
     closed = diffuse_closed_form(S, D, 0.5)
     iterated = diffuse_iterative(S, D, params)
@@ -181,7 +180,7 @@ def test_solver_equivalence_across_omegas():
         n = int(rng.integers(4, 21))
         batch = unit_batch(rng, n, 5)
         D = cosine_similarity_matrix(batch)
-        S = transition_matrix(build_affinity_batch(batch, PARAMS))
+        S = transition_matrix(build_affinity_batch(cosine_similarity_matrix(batch), PARAMS))
         params = DiffusionParams(omega=omega, tol=1e-12, max_iter=20000)
         closed = diffuse_closed_form(S, D, omega)
         iterated = diffuse_iterative(S, D, params)
@@ -207,7 +206,7 @@ def test_iterative_not_converged_carries_best_iterate():
     rng = np.random.default_rng(13)
     batch = unit_batch(rng, 6, 4)
     D = cosine_similarity_matrix(batch)
-    S = transition_matrix(build_affinity_batch(batch, PARAMS))
+    S = transition_matrix(build_affinity_batch(cosine_similarity_matrix(batch), PARAMS))
     with pytest.raises(NotConverged) as info:
         diffuse_iterative(S, D, DiffusionParams(omega=0.99, tol=1e-14, max_iter=3))
     assert info.value.result.iterations == 3
@@ -220,7 +219,7 @@ def test_omega_continuity_error_shrinks_monotonically():
     for _ in range(5):
         batch = unit_batch(rng, 8, 4)
         D = cosine_similarity_matrix(batch)
-        S = transition_matrix(build_affinity_batch(batch, PARAMS))
+        S = transition_matrix(build_affinity_batch(cosine_similarity_matrix(batch), PARAMS))
         errs = [
             np.abs(diffuse_closed_form(S, D, omega) - D).max() for omega in (1e-1, 1e-2, 1e-3)
         ]
@@ -234,21 +233,40 @@ def test_refine_similarity_solver_modes_agree():
     rng = np.random.default_rng(18)
     batch = unit_batch(rng, 8, 4)
     D = cosine_similarity_matrix(batch)
-    closed = refine_similarity(batch, D, DiffusionParams(omega=0.6, mode="closed_form"))
+    closed = refine_similarity(D, DiffusionParams(omega=0.6, mode="closed_form"))
     iterated = refine_similarity(
-        batch, D, DiffusionParams(omega=0.6, mode="iterative", tol=1e-12, max_iter=20000)
+        D, DiffusionParams(omega=0.6, mode="iterative", tol=1e-12, max_iter=20000)
     )
     assert (closed.iterations, closed.converged) == (0, True)
     assert iterated.converged and iterated.iterations > 0
     assert np.abs(closed.matrix - iterated.matrix).max() < 1e-8
-    knn = refine_similarity(batch, D, DiffusionParams(omega=0.6), knn_k=3)
+    knn = refine_similarity(D, DiffusionParams(omega=0.6), knn_k=3)
     assert knn.matrix.shape == D.shape and np.all(np.isfinite(knn.matrix))
+
+
+def test_refine_similarity_builds_graph_from_d_without_recomputing_it(monkeypatch):
+    from diffdistill import diffusion, embeddings
+
+    rng = np.random.default_rng(19)
+    D = cosine_similarity_matrix(unit_batch(rng, 12, 4))
+    kept = D.copy()
+    graphs = {None: build_affinity_batch(D, PARAMS), 3: build_affinity_knn(D, 3, PARAMS)}
+    expected = {k: diffuse_closed_form(transition_matrix(g), D, PARAMS.omega) for k, g in graphs.items()}
+
+    def recomputed(*args):
+        raise AssertionError("refine_similarity recomputed the cosine matrix")
+
+    monkeypatch.setattr(embeddings, "cosine_similarity_matrix", recomputed)
+    monkeypatch.setattr(diffusion, "cosine_similarity_matrix", recomputed, raising=False)
+    for knn_k in (None, 3):
+        assert np.array_equal(diffusion.refine_similarity(D, PARAMS, knn_k).matrix, expected[knn_k])
+        assert np.array_equal(D, kept)  # the graph is built on a copy
 
 
 def test_diffusion_linear_in_initial_state():
     rng = np.random.default_rng(15)
     batch = unit_batch(rng, 7, 4)
-    S = transition_matrix(build_affinity_batch(batch, PARAMS))
+    S = transition_matrix(build_affinity_batch(cosine_similarity_matrix(batch), PARAMS))
     D1 = rng.standard_normal((7, 7))
     D2 = rng.standard_normal((7, 7))
     alpha, beta = 0.7, -1.3
@@ -284,7 +302,7 @@ def test_objective_matches_triple_loop_oracle():
     for _ in range(5):
         n = int(rng.integers(3, 7))
         batch = unit_batch(rng, n, 4)
-        graph = build_affinity_batch(batch, PARAMS)
+        graph = build_affinity_batch(cosine_similarity_matrix(batch), PARAMS)
         A = rng.standard_normal((n, n))
         D = cosine_similarity_matrix(batch)
         fast = refinement_objective(A, graph.W, graph.degrees, D, 0.4)
@@ -301,7 +319,7 @@ def _nondegenerate_instance(rng, n, d):
         warnings.simplefilter("ignore", DegenerateGraphWarning)
         while True:
             batch = unit_batch(rng, n, d)
-            graph = build_affinity_batch(batch, PARAMS)
+            graph = build_affinity_batch(cosine_similarity_matrix(batch), PARAMS)
             if not graph.degenerate_rows:
                 return batch, graph
 

@@ -117,7 +117,7 @@ def test_obdsd_loss_reduces_to_psd_at_tiny_omega():
     z = normalize_rows(rng.standard_normal((6, 4)))
     batch = EmbeddingBatch(z, np.zeros(6, dtype=np.int64))
     D = cosine_similarity_matrix(batch)
-    S = transition_matrix(build_affinity_batch(batch, DiffusionParams()))
+    S = transition_matrix(build_affinity_batch(cosine_similarity_matrix(batch), DiffusionParams()))
     A = diffuse_closed_form(S, D, omega=1e-9)
     student = cosine_similarity_matrix(
         EmbeddingBatch(normalize_rows(rng.standard_normal((6, 4))), np.zeros(6, dtype=np.int64))
@@ -132,7 +132,7 @@ def test_obdsd_pipeline_loss_matches_oracle_on_six_points():
     z = normalize_rows(rng.standard_normal((6, 5)))
     batch = EmbeddingBatch(z, np.array([0, 0, 1, 1, 2, 2]))
     D = cosine_similarity_matrix(batch)
-    S = transition_matrix(build_affinity_batch(batch, DiffusionParams()))
+    S = transition_matrix(build_affinity_batch(cosine_similarity_matrix(batch), DiffusionParams()))
     A = diffuse_closed_form(S, D, omega=0.5)
     student = cosine_similarity_matrix(
         EmbeddingBatch(normalize_rows(rng.standard_normal((6, 5))), batch.labels)

@@ -3,6 +3,7 @@ import select
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -194,6 +195,47 @@ def force_parallel(monkeypatch, cpus, threshold=64):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
 
+def pid_and_square(item):
+    return os.getpid(), item * item
+
+
+@pytest.mark.parametrize("cpus, items, forked", [(1, 6, False), (2, 1, False), (2, 6, True)])
+def test_fork_map_yields_in_order_on_forked_workers(monkeypatch, cpus, items, forked):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    results = list(io.fork_map(pid_and_square, range(items)))
+    assert [square for _, square in results] == [i * i for i in range(items)]
+    pids = {pid for pid, _ in results}
+    assert (os.getpid() not in pids) == forked
+    assert len(pids) <= min(cpus, items)
+
+
+def test_fork_map_keeps_two_items_per_worker_in_flight(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    log = tmp_path / "started"
+
+    def record(item):
+        with open(log, "a") as handle:
+            handle.write(f"{item}\n")
+        return item
+
+    results = io.fork_map(record, range(20))
+    assert next(results) == 0
+    time.sleep(1.0)  # the workers finish whatever was submitted
+    assert len(log.read_text().split()) <= 4
+    assert list(results) == list(range(1, 20))
+
+
+def test_fork_map_imports_process_pools_only_when_parallel():
+    code = (
+        "import sys, diffdistill.cli, diffdistill.io as io; list(io.fork_map(abs, [-1])); "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
+    )
+    src = str(Path(io.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert result.stdout == "[]\n", result.stderr
+
+
 def tiled_blocks():
     """A small block, then AWKWARD tiled over 61 x 61 values: 8 spans, the last one short."""
     n = 61
@@ -251,6 +293,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 from diffdistill import io
 io.PARALLEL_FORMAT_VALUES = 64
+io.FORMAT_SPAN_ROWS = 4  # 5 spans, so both CPUs get a worker
 os.sched_getaffinity = lambda pid: {0, 1}
 io._row_text = lambda *args: os._exit(7)
 try:

@@ -340,6 +340,59 @@ def test_density_invariant_under_rotation():
     np.testing.assert_allclose(a, b, atol=1e-10)
 
 
+def _density_oracle(batch, distance):
+    """The per-class meshgrid loop that embedding_density replaced."""
+    from diffdistill.metrics import _pair_distance
+
+    labels, Z = batch.labels, batch.vectors
+    classes = np.unique(labels)
+    if classes.size < 2:
+        raise UndefinedDensity("need at least 2 classes")
+    means = np.stack([Z[labels == c].mean(axis=0) for c in classes])
+    ii, jj = np.meshgrid(np.arange(classes.size), np.arange(classes.size), indexing="ij")
+    off = ii != jj
+    inter = float(np.mean(_pair_distance(means[ii[off]], means[jj[off]], distance)))
+    intra_terms = []
+    for c in classes:
+        members = Z[labels == c]
+        if members.shape[0] < 2:
+            continue
+        pi, pj = np.meshgrid(np.arange(members.shape[0]), np.arange(members.shape[0]), indexing="ij")
+        keep = pi != pj
+        intra_terms.append(_pair_distance(members[pi[keep]], members[pj[keep]], distance))
+    if not intra_terms:
+        raise UndefinedDensity("need at least one class with >= 2 samples")
+    intra = float(np.mean(np.concatenate(intra_terms)))
+    if inter == 0.0:
+        raise UndefinedDensity("all class means coincide; inter-class distance is zero")
+    return intra, inter, intra / inter
+
+
+def test_density_bitwise_equals_per_class_loop_oracle():
+    rng = np.random.default_rng(11)
+    for case in range(300):
+        n = int(rng.integers(1, 120))
+        d = int(rng.integers(1, 20))
+        kind = case % 5
+        if kind == 0:
+            labels = np.zeros(n, dtype=np.int64)  # one class
+        elif kind == 1:
+            labels = rng.permutation(n)  # all distinct
+        elif kind == 2:
+            labels = rng.integers(0, max(1, n // 2), size=n)  # many singletons
+        else:
+            labels = rng.integers(0, int(rng.integers(1, 12)), size=n) * 7  # unsorted, gaps
+        batch = EmbeddingBatch(normalize_rows(rng.standard_normal((n, d))), labels)
+        for distance in (EUCLIDEAN, COSINE):
+            try:
+                expected = _density_oracle(batch, distance)
+            except UndefinedDensity as exc:
+                with pytest.raises(UndefinedDensity, match=str(exc)):
+                    embedding_density(batch, distance=distance)
+                continue
+            assert embedding_density(batch, distance=distance) == expected
+
+
 # ---------------------------------------------------------------------------
 # spectral decay
 

@@ -220,6 +220,51 @@ def test_baseline_grad_matches_finite_differences():
         assert rel < 1e-5
 
 
+def _contrastive_oracle(V, labels, margin):
+    """The triu_indices version that baseline_contrastive_loss_and_grad replaced."""
+    from diffdistill.embeddings import pair_grad_to_raw
+
+    n = V.shape[0]
+    norms = np.linalg.norm(V, axis=1)
+    Z = normalize_rows(V)
+    D = Z @ Z.T
+    iu, ju = np.triu_indices(n, k=1)
+    pos = labels[iu] == labels[ju]
+    neg = ~pos
+    g_pairs = np.zeros((n, n))
+    loss = 0.0
+    n_pos, n_neg = int(pos.sum()), int(neg.sum())
+    if n_pos:
+        loss += float(np.mean(1.0 - D[iu[pos], ju[pos]]))
+        g_pairs[iu[pos], ju[pos]] -= 1.0 / n_pos
+    if n_neg:
+        viol = D[iu[neg], ju[neg]] - margin
+        loss += float(np.mean(np.maximum(viol, 0.0)))
+        active = viol > 0
+        g_pairs[iu[neg][active], ju[neg][active]] += 1.0 / n_neg
+    return loss, pair_grad_to_raw(g_pairs, Z, norms)
+
+
+def test_baseline_bitwise_equals_triu_index_oracle():
+    rng = np.random.default_rng(12)
+    for case in range(300):
+        n = int(rng.integers(2, 70))
+        d = int(rng.integers(1, 20))
+        kind = case % 4
+        if kind == 0:
+            labels = np.zeros(n, dtype=np.int64)  # positives only
+        elif kind == 1:
+            labels = rng.permutation(n)  # negatives only
+        else:
+            labels = rng.integers(0, int(rng.integers(1, n + 1)), size=n)  # singletons mixed in
+        V = rng.standard_normal((n, d)) * float(rng.uniform(0.1, 3.0))
+        margin = float(rng.uniform(-0.5, 1.0))
+        loss, grad = baseline_contrastive_loss_and_grad(V, labels, margin)
+        expected_loss, expected_grad = _contrastive_oracle(V, labels, margin)
+        assert loss == expected_loss
+        assert np.array_equal(grad, expected_grad)
+
+
 # ---------------------------------------------------------------------------
 # encoder
 
