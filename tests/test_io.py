@@ -334,8 +334,9 @@ io.write_similarity_csv("sim.csv", [(0, np.arange(20), np.zeros((20, 20)))], "x"
 def test_parallel_workers_exit_when_the_writer_is_killed(tmp_path):
     src = str(Path(io.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # unbuffered, so readline takes one line and select sees any line still in the pipe
     proc = subprocess.Popen(
-        [sys.executable, "-c", WORKER_STALLS], cwd=tmp_path, env=env, stdout=subprocess.PIPE, text=True
+        [sys.executable, "-c", WORKER_STALLS], cwd=tmp_path, env=env, stdout=subprocess.PIPE, bufsize=0
     )
     workers = []
     try:
