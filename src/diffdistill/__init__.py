@@ -14,6 +14,7 @@ from .diffusion import (
     build_affinity_knn,
     diffuse_closed_form,
     diffuse_iterative,
+    refine_global,
     refine_similarity,
     refinement_objective,
     transition_matrix,
@@ -25,7 +26,13 @@ from .distill import (
     psd_loss,
     row_softmax,
 )
-from .embeddings import EmbeddingBatch, cosine_similarity_matrix, normalize_rows, pair_grad_to_raw
+from .embeddings import (
+    EmbeddingBatch,
+    FactoredSimilarity,
+    cosine_similarity_matrix,
+    normalize_rows,
+    pair_grad_to_raw,
+)
 from .errors import (
     DegenerateGraph,
     DegenerateGraphWarning,

@@ -23,11 +23,12 @@ from .diffusion import (
     DiffusionParams,
     build_affinity_batch,
     check_dense_rows,
+    refine_global,
     refine_similarity,
     refinement_objective,
 )
 from .distill import psd_grad, psd_loss, row_softmax
-from .embeddings import EmbeddingBatch, cosine_similarity_matrix, neighbor_ranking, normalize_rows
+from .embeddings import EmbeddingBatch, cosine_similarity_matrix, normalize_rows, top_neighbors
 from .errors import DegenerateGraphWarning, DiffDistillError, KTooLarge
 from .io import (
     EmbeddingTable,
@@ -210,14 +211,16 @@ def cmd_diffuse(args) -> int:
             spans[-2:] = [(spans[-2][0], n)]
         if spans[0][1] - spans[0][0] < 2:
             raise CliValidationError("need at least 2 rows to diffuse")
-    knn_k = args.knn_k if args.mode == "global" else None
     blocks = []
     for batch_index, (start, stop) in enumerate(spans):
-        sub = EmbeddingBatch(batch_all.vectors[start:stop], batch_all.labels[start:stop])
+        z = batch_all.vectors[start:stop]
         with warnings.catch_warnings():
             # reported below, once, with file row numbers
             warnings.simplefilter("ignore", DegenerateGraphWarning)
-            result = refine_similarity(cosine_similarity_matrix(sub), params, knn_k)
+            if args.mode == "global":
+                result = refine_global(z, params, args.knn_k)  # A = Y Z^T, kept factored
+            else:
+                result = refine_similarity(cosine_similarity_matrix(z), params)
         if result.degenerate_rows:
             rows = [start + r for r in result.degenerate_rows]
             print(
@@ -231,8 +234,8 @@ def cmd_diffuse(args) -> int:
     if args.neighbors > 0:
         ranked = []
         for _, indices, A in blocks:
-            order = neighbor_ranking(A, min(args.neighbors, len(indices) - 1))
-            ranked.append((indices, indices[order], np.take_along_axis(A, order, axis=1)))
+            order, scores = top_neighbors(A, min(args.neighbors, len(indices) - 1))
+            ranked.append((indices, indices[order], scores))
         write_neighbors_csv(out_dir / "neighbors.csv", ranked, config_hash=chash)
     print(f"wrote {len(blocks)} refined block(s) for {n} rows")
     return EXIT_OK

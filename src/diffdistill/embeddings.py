@@ -88,11 +88,64 @@ def cosine_similarity_matrix(batch: EmbeddingBatch | np.ndarray) -> np.ndarray:
     return np.clip(z @ z.T, -1.0, 1.0)
 
 
-def neighbor_ranking(similarity: np.ndarray, top: int) -> np.ndarray:
-    """Each row's first `top` neighbor columns, shape (n, top).
+@dataclass(frozen=True)
+class FactoredSimilarity:
+    """The n x m matrix Y Z^T held as its factors Y (n x d) and Z (m x d).
 
-    Order: descending similarity, self excluded, ties broken by lower index.
-    Rows are ranked RANKING_BLOCK_ROWS at a time, so scratch stays block x n.
+    `matrix[a:b]` computes rows a..b-1 as an ndarray and `submatrix(idx)` the
+    block at rows and columns idx, so nothing n x m is ever stored. `clip`
+    bounds entries to [-1, 1] as `cosine_similarity_matrix` does, so
+    FactoredSimilarity(Z, Z, clip=True) is the cosine matrix of unit rows Z.
+    """
+
+    Y: np.ndarray
+    Z: np.ndarray
+    clip: bool = False
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.Y.shape[0], self.Z.shape[0])
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        start, stop, step = rows.indices(self.shape[0])
+        if step != 1:
+            raise IndexError("FactoredSimilarity takes contiguous row slices only")
+        if stop - start == 1 and self.shape[0] >= 2:
+            # A one-row product goes through gemv, which rounds differently from
+            # the gemm of every longer block; computing the row as one of two
+            # keeps its bits independent of the block it is computed in.
+            lo = min(start, self.shape[0] - 2)
+            return self._clipped(self.Y[lo : lo + 2] @ self.Z.T)[start - lo : stop - lo]
+        return self._clipped(self.Y[start:stop] @ self.Z.T)
+
+    def submatrix(self, idx: np.ndarray) -> np.ndarray:
+        """The square block at rows and columns idx, Y[idx] Z[idx]^T."""
+        return self._clipped(self.Y[idx] @ self.Z[idx].T)
+
+    def _clipped(self, block: np.ndarray) -> np.ndarray:
+        return np.clip(block, -1.0, 1.0, out=block) if self.clip else block
+
+
+def _without_self(rows: np.ndarray, start: int) -> np.ndarray:
+    """A copy of rows start.. of an n-column matrix without their diagonal entries, (b, n - 1).
+
+    Row r's self column is start + r, so the selves form the diagonal of the
+    b x b band of columns start..start+b-1; the band loses its diagonal and the
+    columns left and right of it are kept whole, in index order.
+    """
+    b = rows.shape[0]
+    band = rows[:, start : start + b].ravel()[1:].reshape(b - 1, b + 1)[:, :-1].reshape(b, b - 1)
+    return np.concatenate([rows[:, :start], band, rows[:, start + b :]], axis=1)
+
+
+def top_neighbors(similarity, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's first `top` neighbor columns and their values, both shape (n, top).
+
+    `similarity` is an n x n ndarray or `FactoredSimilarity`. Rows are ranked
+    RANKING_BLOCK_ROWS at a time, so scratch stays block x n, and the values
+    are taken from the same block as the order. Order: descending value,
+    ties broken by lower index, self excluded: self is dropped from the
+    candidates, so it is never listed, whatever the row holds.
     `argpartition` picks `top` candidates per row, sorted by (value, index).
     The candidates are exactly the stable-argsort prefix unless the cut value
     also sits at a column outside them (or is NaN); such rows take the stable
@@ -102,10 +155,12 @@ def neighbor_ranking(similarity: np.ndarray, top: int) -> np.ndarray:
     if not 1 <= top < n:
         raise ValueError(f"k must satisfy 1 <= k < n, got k={top}, n={n}")
     order = np.empty((n, top), dtype=np.intp)
+    scores = np.empty((n, top))
     for start in range(0, n, RANKING_BLOCK_ROWS):
         stop = min(start + RANKING_BLOCK_ROWS, n)
-        negated = -similarity[start:stop]
-        negated[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        rows = similarity[start:stop]
+        negated = _without_self(rows, start)  # column c stands for c + (c >= self)
+        np.negative(negated, out=negated)
         candidates = np.sort(np.argpartition(negated, top - 1, axis=1)[:, :top], axis=1)
         values = np.take_along_axis(negated, candidates, axis=1)
         ranked = np.argsort(values, axis=1, kind="stable")
@@ -114,8 +169,10 @@ def neighbor_ranking(similarity: np.ndarray, top: int) -> np.ndarray:
         spill = np.isnan(cut[:, 0]) | ((negated == cut).sum(axis=1) > (values == cut).sum(axis=1))
         if spill.any():
             block[spill] = np.argsort(negated[spill], axis=1, kind="stable")[:, :top]
+        block += block >= np.arange(start, stop)[:, None]
         order[start:stop] = block
-    return order
+        scores[start:stop] = np.take_along_axis(rows, block, axis=1)
+    return order, scores
 
 
 def pair_grad_to_raw(G, Z, norms, eps: float = ZERO_NORM_EPS) -> np.ndarray:

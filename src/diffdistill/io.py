@@ -181,10 +181,13 @@ def write_similarity_csv(
     """Long-form refined similarities: one (batch, i, j, value) row per pair.
 
     `blocks` holds (batch_index, global_row_indices, matrix) triples; i and j
-    are row indices of the input embedding file. Streams FORMAT_SPAN_ROWS matrix
-    rows per write; `float.__repr__` dominates the cost and spans are
-    independent, so a block of PARALLEL_FORMAT_VALUES or more values is
-    formatted through `fork_map`. The bytes do not depend on the worker count.
+    are row indices of the input embedding file, and the square matrix is an
+    ndarray or anything whose row slices give ndarray rows (a factored global
+    result, which then computes each span's rows where it is formatted).
+    Streams FORMAT_SPAN_ROWS matrix rows per write; `float.__repr__` dominates
+    the cost and spans are independent, so a block of PARALLEL_FORMAT_VALUES
+    or more values is formatted through `fork_map`. The bytes do not depend on
+    the worker count.
     """
     with _atomic_open(path) as handle:
         handle.write(f"# config_hash={config_hash}\nbatch,i,j,value\n")
@@ -192,7 +195,7 @@ def write_similarity_csv(
             indices, n = indices.tolist(), len(indices)
             rows = ([f"{batch_index},{gi}" for gi in indices], [f",{gj}," for gj in indices], matrix)
             spans = [(start, min(start + FORMAT_SPAN_ROWS, n)) for start in range(0, n, FORMAT_SPAN_ROWS)]
-            mapper = fork_map if matrix.size >= PARALLEL_FORMAT_VALUES else map
+            mapper = fork_map if n * n >= PARALLEL_FORMAT_VALUES else map
             handle.writelines(mapper(partial(_format_span, rows), spans))
 
 

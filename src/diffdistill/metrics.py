@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embeddings import EmbeddingBatch, _as_matrix, cosine_similarity_matrix, neighbor_ranking
+from .embeddings import EmbeddingBatch, _as_matrix, cosine_similarity_matrix, top_neighbors
 from .errors import KTooLarge, RankDeficient, UndefinedDensity
 
 EUCLIDEAN = "euclidean"
@@ -50,7 +50,7 @@ def recall_at_k(gallery: EmbeddingBatch, ks: list[int]) -> dict[int, float]:
         raise ValueError("ks must be positive integers")
     if gallery.n < max(ks) + 1:
         raise KTooLarge(f"K={max(ks)} needs at least {max(ks) + 1} samples, have {gallery.n}")
-    order = neighbor_ranking(cosine_similarity_matrix(gallery), max(ks))
+    order, _ = top_neighbors(cosine_similarity_matrix(gallery), max(ks))
     neighbor_labels = gallery.labels[order]
     same = neighbor_labels == gallery.labels[:, None]
     return {k: float(np.mean(same[:, :k].any(axis=1))) for k in ks}

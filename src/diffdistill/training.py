@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffusion import DiffusionParams, check_dense_rows, refine_similarity
+from .diffusion import CLOSED_FORM, DiffusionParams, check_dense_rows, refine_global, refine_similarity
 from .distill import DistillConfig, dynamic_weight, psd_grad, psd_loss, row_softmax
 from .embeddings import EmbeddingBatch, cosine_similarity_matrix, normalize_rows, pair_grad_to_raw
 from .errors import InsufficientClasses, NoValidPairs
@@ -354,7 +354,11 @@ def train(
     epoch_callback=None,
 ) -> TrainResult:
     """Run the full loop; deterministic given (datasets, cfg, seed)."""
-    if cfg.distill_mode == DISTILL_OBDSD and cfg.diffusion_scope == SCOPE_GLOBAL:
+    if (
+        cfg.distill_mode == DISTILL_OBDSD
+        and cfg.diffusion_scope == SCOPE_GLOBAL
+        and cfg.diffusion.mode == CLOSED_FORM
+    ):
         check_dense_rows(train_set.n)
     rng = np.random.default_rng(seed)
     input_dim = train_set.inputs.shape[1]
@@ -382,17 +386,17 @@ def train(
             and cfg.diffusion_scope == SCOPE_GLOBAL
             and weight != 0.0
         ):
-            # offline diffusion over the whole training set on a mutual-kNN graph
+            # offline diffusion over the whole training set on a mutual-kNN
+            # graph, kept factored as A = Y Z^T
             teacher_all = embed_dataset(teacher, train_set)
-            D = cosine_similarity_matrix(teacher_all)
             started = time.perf_counter()
-            global_A = refine_similarity(D, cfg.diffusion, knn_k=cfg.knn_k).matrix
+            global_A = refine_global(teacher_all.vectors, cfg.diffusion, cfg.knn_k).matrix
             diffusion_seconds += time.perf_counter() - started
 
         dml_losses, distill_losses = [], []
         for _ in range(batches_per_epoch):
             idx = sample_batch(train_set, cfg.batch_size, rng)
-            block = None if global_A is None else global_A[np.ix_(idx, idx)]
+            block = None if global_A is None else global_A.submatrix(idx)
             dml_loss, distill_loss, grads, spent = batch_step_gradients(
                 student, teacher, train_set.inputs[idx], train_set.labels[idx], cfg, weight, block
             )

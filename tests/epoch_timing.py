@@ -4,8 +4,15 @@ import time
 
 import numpy as np
 
-from diffdistill.diffusion import DiffusionParams, refine_similarity
+from diffdistill.diffusion import DiffusionParams, refine_global, refine_similarity
 from diffdistill.embeddings import EmbeddingBatch, cosine_similarity_matrix
+
+
+def refine(batch: EmbeddingBatch, params: DiffusionParams, knn_k: int | None):
+    """Batch-scope refinement, or global-scope on the mutual-kNN graph when knn_k is set."""
+    if knn_k is None:
+        return refine_similarity(cosine_similarity_matrix(batch), params)
+    return refine_global(batch.vectors, params, knn_k)
 
 
 def epoch_diffusion_seconds(
@@ -20,8 +27,8 @@ def epoch_diffusion_seconds(
     Each epoch's n random unit embeddings are split into consecutive batches
     of batch_size (the tail remainder is dropped, matching the training loop;
     batch_size = n is one offline solve over the whole set), and affinity
-    (mutual-kNN when knn_k is set) + normalization + solve is timed over all
-    batches. Every repeat times all epochs back to back, so a slow spell on a
+    (mutual-kNN and factored when knn_k is set) + normalization + solve is
+    timed over all batches. Every repeat times all epochs back to back, so a slow spell on a
     shared host hits each epoch alike instead of one epoch's whole series;
     each epoch keeps its minimum.
     """
@@ -36,13 +43,13 @@ def epoch_diffusion_seconds(
             for start in range(0, n - batch_size + 1, batch_size)
         ]
         # warm up BLAS paths outside the timed region
-        refine_similarity(cosine_similarity_matrix(batches[0]), params, knn_k)
+        refine(batches[0], params, knn_k)
         prepared.append((batches, knn_k))
     best = [np.inf] * len(epochs)
     for _ in range(repeats):
         for j, (batches, knn_k) in enumerate(prepared):
             started = time.perf_counter()
             for batch in batches:
-                refine_similarity(cosine_similarity_matrix(batch), params, knn_k)
+                refine(batch, params, knn_k)
             best[j] = min(best[j], time.perf_counter() - started)
     return best

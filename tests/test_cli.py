@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from diffdistill import cli, training
+from diffdistill import cli, embeddings, io, training
 from diffdistill.cli import main
 from diffdistill.config import default_config_text
 from diffdistill.diffusion import MAX_DENSE_ROWS
@@ -291,6 +291,28 @@ def test_diffuse_neighbor_lists(tmp_path):
                     candidates = [(j, v) for (a, j), v in refined.items() if a == i and j != i]
                     expected = sorted(candidates, key=lambda pair: (-pair[1], pair[0]))[:top]
                     assert [(j, score) for _, j, score in ranked] == expected
+
+
+@pytest.mark.parametrize("span_rows, block_rows", [(8, 4), (8, 3), (3, 8)])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_diffuse_global_neighbor_scores_are_the_written_similarities(
+    tmp_path, monkeypatch, cpus, span_rows, block_rows
+):
+    # 17 rows: the last writer span, the last ranking block or both hold one row,
+    # a row whose product alone would round differently from a longer block's
+    monkeypatch.setattr(io, "FORMAT_SPAN_ROWS", span_rows)
+    monkeypatch.setattr(embeddings, "RANKING_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(io, "PARALLEL_FORMAT_VALUES", 1)  # forked workers compute their spans' rows
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    n = 17
+    write_table(tmp_path / "emb.csv", np.random.default_rng(6).standard_normal((n, 16)), np.arange(n) % 3)
+    assert main(["diffuse", str(tmp_path / "emb.csv"), "--omega", "0.9", "--mode", "global",
+                 "--knn-k", "5", "--neighbors", str(n - 1), "--out-dir", str(tmp_path)]) == 0
+    refined = read_similarity_csv(tmp_path / "refined_similarity.csv")
+    lists = neighbor_lists(tmp_path / "neighbors.csv")
+    assert sorted(lists) == list(range(n))
+    for i, ranked in lists.items():
+        assert [refined[(i, j)] for _, j, _ in ranked] == [score for _, _, score in ranked]
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, "-rw-r--r--"), (0o027, "-rw-r-----")])

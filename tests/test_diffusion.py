@@ -1,5 +1,13 @@
+import tracemalloc
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from diffdistill import embeddings
 
 from diffdistill.diffusion import (
     DiffusionParams,
@@ -7,14 +15,28 @@ from diffdistill.diffusion import (
     build_affinity_knn,
     diffuse_closed_form,
     diffuse_iterative,
+    refine_global,
     refinement_objective,
     transition_matrix,
 )
-from diffdistill.embeddings import EmbeddingBatch, cosine_similarity_matrix, normalize_rows
+from diffdistill.embeddings import (
+    EmbeddingBatch,
+    FactoredSimilarity,
+    cosine_similarity_matrix,
+    normalize_rows,
+)
 from diffdistill.errors import DegenerateGraph, DegenerateGraphWarning, NotConverged
 from epoch_timing import epoch_diffusion_seconds
 
 PARAMS = DiffusionParams()
+
+
+def dense_weights(graph):
+    """The n x n W of a padded (mutual-kNN) graph."""
+    n = graph.n
+    W = np.zeros((n, n))
+    W[np.arange(n)[:, None], graph.neighbors] = graph.W
+    return W
 
 
 def unit_batch(rng, n, d, labels=None):
@@ -67,7 +89,7 @@ def test_knn_saturated_equals_batch_affinity():
     batch = EmbeddingBatch(z, np.zeros(5, dtype=np.int64))
     full = build_affinity_batch(cosine_similarity_matrix(batch), PARAMS)
     knn = build_affinity_knn(cosine_similarity_matrix(batch), k=4, params=PARAMS)
-    np.testing.assert_allclose(knn.W, full.W, atol=1e-15)
+    np.testing.assert_allclose(dense_weights(knn), full.W, atol=1e-15)
 
 
 def test_knn_far_clusters_have_no_cross_edges():
@@ -76,6 +98,7 @@ def test_knn_far_clusters_have_no_cross_edges():
     b = normalize_rows(np.array([0.0, 0.0, 0.0, 1.0]) + 0.02 * rng.standard_normal((3, 4)))
     batch = EmbeddingBatch(np.vstack([a, b]), np.array([0, 0, 0, 1, 1, 1]))
     graph = build_affinity_knn(cosine_similarity_matrix(batch), k=2, params=PARAMS)
+    W = dense_weights(graph)
     # oracle: mutual-kNN membership by brute force
     sims = cosine_similarity_matrix(batch)
     for i in range(6):
@@ -86,8 +109,8 @@ def test_knn_far_clusters_have_no_cross_edges():
                 sorted((t for t in range(6) if t != j), key=lambda t: (-sims[j, t], t))[:2]
             )
             expected = max(sims[i, j], 0.0) if (mutual and i != j) else 0.0
-            assert graph.W[i, j] == pytest.approx(expected, abs=1e-15)
-    np.testing.assert_array_equal(graph.W[:3, 3:], np.zeros((3, 3)))
+            assert W[i, j] == pytest.approx(expected, abs=1e-15)
+    np.testing.assert_array_equal(W[:3, 3:], np.zeros((3, 3)))
 
 
 def test_knn_k_bounds_enforced():
@@ -228,7 +251,7 @@ def test_omega_continuity_error_shrinks_monotonically():
 
 
 def test_refine_similarity_solver_modes_agree():
-    from diffdistill.diffusion import refine_similarity
+    from diffdistill.diffusion import refine_global, refine_similarity
 
     rng = np.random.default_rng(18)
     batch = unit_batch(rng, 8, 4)
@@ -240,27 +263,33 @@ def test_refine_similarity_solver_modes_agree():
     assert (closed.iterations, closed.converged) == (0, True)
     assert iterated.converged and iterated.iterations > 0
     assert np.abs(closed.matrix - iterated.matrix).max() < 1e-8
-    knn = refine_similarity(D, DiffusionParams(omega=0.6), knn_k=3)
-    assert knn.matrix.shape == D.shape and np.all(np.isfinite(knn.matrix))
+    knn = refine_global(batch.vectors, DiffusionParams(omega=0.6), knn_k=3)
+    assert knn.matrix.shape == D.shape and np.all(np.isfinite(knn.matrix[:]))
 
 
 def test_refine_similarity_builds_graph_from_d_without_recomputing_it(monkeypatch):
     from diffdistill import diffusion, embeddings
 
     rng = np.random.default_rng(19)
-    D = cosine_similarity_matrix(unit_batch(rng, 12, 4))
-    kept = D.copy()
-    graphs = {None: build_affinity_batch(D, PARAMS), 3: build_affinity_knn(D, 3, PARAMS)}
-    expected = {k: diffuse_closed_form(transition_matrix(g), D, PARAMS.omega) for k, g in graphs.items()}
+    Z = unit_batch(rng, 12, 4).vectors
+    D = cosine_similarity_matrix(Z)
+    kept = D.copy(), Z.copy()
+    batch_graph, knn_graph = build_affinity_batch(D, PARAMS), build_affinity_knn(D, 3, PARAMS)
+    expected = {
+        None: diffuse_closed_form(transition_matrix(batch_graph), D, PARAMS.omega),
+        # global: A = Y Z^T with Y solved on the padded graph for the columns of Z
+        3: diffuse_closed_form(transition_matrix(knn_graph), Z, PARAMS.omega, knn_graph.neighbors) @ Z.T,
+    }
 
     def recomputed(*args):
         raise AssertionError("refine_similarity recomputed the cosine matrix")
 
     monkeypatch.setattr(embeddings, "cosine_similarity_matrix", recomputed)
     monkeypatch.setattr(diffusion, "cosine_similarity_matrix", recomputed, raising=False)
-    for knn_k in (None, 3):
-        assert np.array_equal(diffusion.refine_similarity(D, PARAMS, knn_k).matrix, expected[knn_k])
-        assert np.array_equal(D, kept)  # the graph is built on a copy
+    assert np.array_equal(diffusion.refine_similarity(D, PARAMS).matrix, expected[None])
+    # the global scope never builds the cosine matrix: its graph comes from row blocks of Z Z^T
+    assert np.array_equal(diffusion.refine_global(Z, PARAMS, 3).matrix[:], expected[3])
+    assert np.array_equal(D, kept[0]) and np.array_equal(Z, kept[1])  # inputs untouched
 
 
 def test_diffusion_linear_in_initial_state():
@@ -273,6 +302,95 @@ def test_diffusion_linear_in_initial_state():
     combined = diffuse_closed_form(S, alpha * D1 + beta * D2, 0.6)
     separate = alpha * diffuse_closed_form(S, D1, 0.6) + beta * diffuse_closed_form(S, D2, 0.6)
     assert np.abs(combined - separate).max() < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the global scope in factored form against the dense path it replaced
+
+
+def dense_global_refine(Z, omega, k, eps=PARAMS.degree_epsilon):
+    """(1 - omega)(I - omega S)^{-1} D with every n x n array built: D, mask, W, S, A."""
+    n = Z.shape[0]
+    D = np.clip(Z @ Z.T, -1.0, 1.0)
+    ranked = np.argsort(-D, axis=1, kind="stable")
+    in_knn = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        in_knn[i, ranked[i][ranked[i] != i][:k]] = True
+    W = np.where(in_knn & in_knn.T, D, 0.0)
+    np.fill_diagonal(W, 0.0)
+    np.clip(W, 0.0, None, out=W)
+    raw = W.sum(axis=1)
+    inv_sqrt = 1.0 / np.sqrt(np.maximum(raw, eps))
+    S = W * np.outer(inv_sqrt, inv_sqrt)
+    A = np.linalg.solve(np.eye(n) - omega * S, (1.0 - omega) * D)
+    return A, tuple(np.nonzero(raw < eps)[0].tolist())
+
+
+@st.composite
+def global_cases(draw):
+    """Unit rows with k from 1 to n - 1; tight clusters saturate every edge, an
+    antipodal last row has only negative cosines and so a floored degree."""
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 6))
+    k = draw(st.one_of(st.just(n - 1), st.integers(1, n - 1)))
+    omega = draw(st.floats(0.01, 0.99))
+    spread = draw(st.sampled_from([0.05, 0.5, 2.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    center = rng.standard_normal(d)
+    Z = center + spread * np.linalg.norm(center) * rng.standard_normal((n, d))
+    if n > 2 and draw(st.booleans()):
+        Z[-1] = -center
+    block = draw(st.sampled_from([embeddings.RANKING_BLOCK_ROWS, 3, 7]))
+    return normalize_rows(Z), k, omega, block
+
+
+@settings(max_examples=150, deadline=None)
+@given(global_cases())
+def test_factored_global_closed_form_matches_dense_path(case):
+    Z, k, omega, block = case
+    expected, degenerate = dense_global_refine(Z, omega, k)
+    with warnings.catch_warnings(), mock.patch.object(embeddings, "RANKING_BLOCK_ROWS", block):
+        warnings.simplefilter("ignore", DegenerateGraphWarning)
+        result = refine_global(Z, DiffusionParams(omega=omega), k)
+    assert result.degenerate_rows == degenerate
+    assert result.matrix.shape == expected.shape
+    assert np.abs(result.matrix[:] - expected).max() <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(global_cases())
+def test_factored_global_iterative_is_within_tol_of_closed_form(case):
+    """The fixed point on the n x d factor stops when its update is below tol.
+
+    S is symmetric with spectral radius <= 1, so the factor's error is at most
+    omega / (1 - omega) times the last update's column norm, at most
+    sqrt(n) tol; a row of Z is a unit vector, so A's entries move by at most
+    sqrt(d) times that.
+    """
+    Z, k, omega, _ = case
+    params = DiffusionParams(omega=omega, mode="iterative", tol=1e-10, max_iter=100_000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateGraphWarning)
+        closed = refine_global(Z, DiffusionParams(omega=omega), k).matrix[:]
+        iterated = refine_global(Z, params, k)
+    assert iterated.converged and iterated.iterations > 0
+    n, d = Z.shape
+    bound = params.tol * omega / (1.0 - omega) * np.sqrt(n * d) + 1e-12
+    assert np.abs(iterated.matrix[:] - closed).max() <= bound
+
+
+def test_global_closed_form_peak_numpy_memory_is_the_system_alone():
+    # today's allocation: the n x n system; LAPACK's copy of it is allocated
+    # outside numpy, so 3 x 8n^2 also leaves room for it
+    n = 1000
+    Z = normalize_rows(np.random.default_rng(20).standard_normal((n, 16)))
+    tracemalloc.start()
+    try:
+        refine_global(Z, DiffusionParams(omega=0.9), 50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * n * n
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from diffdistill.diffusion import mutual_knn_mask
+from diffdistill.diffusion import mutual_knn
 from diffdistill.embeddings import (
     RANKING_BLOCK_ROWS,
     EmbeddingBatch,
     cosine_similarity_matrix,
-    neighbor_ranking,
     normalize_rows,
     pair_grad_to_raw,
+    top_neighbors,
 )
 from diffdistill.errors import ZeroNormRow
 
@@ -156,7 +156,7 @@ def ranking_oracle(s):
 
 
 def old_mutual_knn_mask(similarity, k):
-    """The per-row loop that mutual_knn_mask replaced."""
+    """The per-row loop that the dense mutual-kNN mask replaced."""
     n = similarity.shape[0]
     ranked = np.argsort(-similarity, axis=1, kind="stable")
     in_knn = np.zeros((n, n), dtype=bool)
@@ -189,7 +189,7 @@ def test_neighbor_ranking_matches_brute_force_oracle(n):
         before = s.copy()
         oracle = np.array(ranking_oracle(s))
         for top in (1, 7, 50, n - 1):
-            np.testing.assert_array_equal(neighbor_ranking(s, top), oracle[:, :top])
+            np.testing.assert_array_equal(top_neighbors(s, top)[0], oracle[:, :top])
         np.testing.assert_array_equal(s, before)  # input untouched
 
 
@@ -197,23 +197,28 @@ def test_neighbor_ranking_matches_brute_force_oracle(n):
 def test_mutual_knn_mask_matches_per_row_loop(n):
     s = tie_heavy_similarities(n, seed=n + 1)
     for k in (1, 7, n - 1):
-        np.testing.assert_array_equal(mutual_knn_mask(s, k), old_mutual_knn_mask(s, k))
+        neighbors, scores, mutual = mutual_knn(s, k)
+        np.testing.assert_array_equal(neighbors, top_neighbors(s, k)[0])
+        np.testing.assert_array_equal(scores, np.take_along_axis(s, neighbors, axis=1))
+        mask = np.zeros((n, n), dtype=bool)
+        mask[np.arange(n)[:, None], neighbors] = mutual
+        np.testing.assert_array_equal(mask, old_mutual_knn_mask(s, k))
 
 
 def test_neighbor_ranking_self_is_excluded_even_when_not_maximal():
     s = np.array([[0.0, 0.5, 0.5], [0.9, 0.1, 0.9], [1.0, 1.0, 1.0]])
-    np.testing.assert_array_equal(neighbor_ranking(s, 2), [[1, 2], [0, 2], [0, 1]])
+    np.testing.assert_array_equal(top_neighbors(s, 2)[0], [[1, 2], [0, 2], [0, 1]])
 
 
 def test_neighbor_ranking_nan_at_the_cut_keeps_stable_argsort_order():
-    # NaN sorts after every number, even the self entry's +inf, in index order
+    # NaN sorts after every number, in index order; self is never a candidate
     s = np.full((8, 8), np.nan)
     s[:, 0] = 1.0
-    expected = [[0, 1, 2], [0, 1, 2]] + [[0, i, 1] for i in range(2, 8)]
-    np.testing.assert_array_equal(neighbor_ranking(s, 3), expected)
+    expected = [[1, 2, 3], [0, 2, 3], [0, 1, 3]] + [[0, 1, 2]] * 5
+    np.testing.assert_array_equal(top_neighbors(s, 3)[0], expected)
 
 
 @pytest.mark.parametrize("top", [0, 3])
 def test_neighbor_ranking_rejects_top_out_of_range(top):
     with pytest.raises(ValueError):
-        neighbor_ranking(np.eye(3), top)
+        top_neighbors(np.eye(3), top)

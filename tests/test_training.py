@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from diffdistill import diffusion
 from diffdistill.diffusion import DiffusionParams
 from diffdistill.distill import psd_loss
 from diffdistill.embeddings import cosine_similarity_matrix, normalize_rows
@@ -409,3 +410,14 @@ def test_global_scope_honours_solver_settings():
     cfg = small_config(epochs=2, diffusion_scope="global", knn_k=10, diffusion=iterative)
     with pytest.raises(NotConverged):
         train(train_set, test_set, cfg, seed=0)
+
+
+def test_global_scope_row_guard_covers_only_the_closed_form(monkeypatch):
+    # the iterative solve works on the padded graph alone, with no n x n system
+    train_set, test_set = zero_shot_task(SPEC, 8)
+    monkeypatch.setattr(diffusion, "MAX_DENSE_ROWS", train_set.n - 1)
+    with pytest.raises(ValueError, match="MAX_DENSE_ROWS"):
+        train(train_set, test_set, small_config(epochs=2, diffusion_scope="global", knn_k=10), seed=0)
+    iterative = DiffusionParams(omega=0.5, mode="iterative")
+    cfg = small_config(epochs=2, diffusion_scope="global", knn_k=10, diffusion=iterative)
+    assert len(train(train_set, test_set, cfg, seed=0).history) == 2
