@@ -20,7 +20,6 @@ from .diffusion import (
     transition_matrix,
 )
 from .distill import (
-    DistillConfig,
     dynamic_weight,
     psd_grad,
     psd_loss,

@@ -103,11 +103,11 @@ def _embedding_table(batch: EmbeddingBatch) -> EmbeddingTable:
     )
 
 
-def run_training(config: RunConfig, seed: int, distill_mode: str | None = None):
+def run_training(config: RunConfig, seed: int):
     train_set, test_set = zero_shot_task(
         config.dataset_spec(seed), config["num_train_classes"]
     )
-    return train(train_set, test_set, config.trainer_config(distill_mode), seed=seed)
+    return train(train_set, test_set, config.trainer_config(), seed=seed)
 
 
 def cmd_train(args) -> int:

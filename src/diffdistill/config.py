@@ -158,7 +158,7 @@ class RunConfig:
             degree_epsilon=v["degree_epsilon"],
         )
 
-    def trainer_config(self, distill_mode: str | None = None) -> TrainerConfig:
+    def trainer_config(self) -> TrainerConfig:
         v = self.values
         return TrainerConfig(
             epochs=v["epochs"],
@@ -167,7 +167,7 @@ class RunConfig:
             margin=v["margin"],
             hidden_dim=v["hidden_dim"],
             embed_dim=v["embed_dim"],
-            distill_mode=v["distill_mode"] if distill_mode is None else distill_mode,
+            distill_mode=v["distill_mode"],
             tau=v["tau"],
             distill_weight=v["lambda"],
             dynamic=v["dynamic_weight"],

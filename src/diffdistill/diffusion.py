@@ -63,6 +63,8 @@ class DiffusionParams:
             raise ValueError("max_iter must be positive")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
+        if not self.degree_epsilon > 0:
+            raise ValueError(f"degree_epsilon must be positive, got {self.degree_epsilon}")
 
 
 @dataclass(frozen=True)
@@ -80,10 +82,6 @@ class AffinityGraph:
     degrees: np.ndarray
     degenerate_rows: tuple[int, ...] = field(default=())
     neighbors: np.ndarray | None = None
-
-    @property
-    def n(self) -> int:
-        return self.W.shape[0]
 
 
 @dataclass(frozen=True)

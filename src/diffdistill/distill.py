@@ -24,32 +24,9 @@ factors (1/n, 1/tau, 1/||v||).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .embeddings import cosine_similarity_matrix, normalize_rows, pair_grad_to_raw
-
-
-@dataclass(frozen=True)
-class DistillConfig:
-    """Temperature, final weight, and the epoch schedule of the distillation term."""
-
-    tau: float = 1.0
-    weight: float = 1.0
-    epoch: int = 0
-    total_epochs: int = 1
-    dynamic: bool = True
-
-    def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.weight < 0:
-            raise ValueError("weight must be nonnegative")
-        if self.total_epochs < 1:
-            raise ValueError("total_epochs must be positive")
-        if not 0 <= self.epoch <= self.total_epochs:
-            raise ValueError("epoch must satisfy 0 <= epoch <= total_epochs")
 
 
 def row_softmax(M, tau: float) -> np.ndarray:
@@ -81,10 +58,10 @@ def psd_loss(target, student_D, tau: float) -> float:
     return float(np.sum(T * (log_T - log_P)) / n)
 
 
-def dynamic_weight(cfg: DistillConfig) -> float:
-    """tau^2 * (t/T) * weight when dynamic; tau^2 * weight when static."""
-    ramp = cfg.epoch / cfg.total_epochs if cfg.dynamic else 1.0
-    return cfg.tau**2 * ramp * cfg.weight
+def dynamic_weight(tau: float, weight: float, epoch: int, total_epochs: int, dynamic: bool = True) -> float:
+    """tau^2 * (epoch/total_epochs) * weight when dynamic; tau^2 * weight when static."""
+    ramp = epoch / total_epochs if dynamic else 1.0
+    return tau**2 * ramp * weight
 
 
 def psd_grad(student_raw, target_soft, tau: float) -> np.ndarray:

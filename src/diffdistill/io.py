@@ -46,10 +46,6 @@ class EmbeddingTable:
     vectors: np.ndarray
 
     @property
-    def n(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.vectors.shape[1]
 
@@ -125,23 +121,13 @@ def read_embeddings_csv(path: str | Path) -> EmbeddingTable:
             coords = [float(x) for x in row[2:]]
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: {exc}") from exc
-        if label < 0:
-            raise FormatError(f"{path}:{lineno}: label must be nonnegative")
+        if not 0 <= label <= np.iinfo(np.int64).max:
+            raise FormatError(f"{path}:{lineno}: label must lie in [0, 2**63 - 1]")
         labels.append(label)
         vectors.append(coords)
     return EmbeddingTable(
         ids=ids, labels=np.asarray(labels, dtype=np.int64), vectors=np.asarray(vectors, dtype=np.float64)
     )
-
-
-def write_embeddings_binary(path: str | Path, table: EmbeddingTable) -> None:
-    labels = np.asarray(table.labels)
-    if labels.min(initial=0) < 0 or labels.max(initial=0) > np.iinfo(np.uint32).max:
-        raise FormatError("labels must fit in uint32")
-    with _atomic_open(path, binary=True) as handle:
-        handle.write(BINARY_MAGIC + struct.pack("<HII", BINARY_VERSION, *table.vectors.shape))
-        handle.write(table.vectors.astype("<f4").tobytes(order="C"))
-        handle.write(labels.astype("<u4").tobytes())
 
 
 def read_embeddings_binary(path: str | Path) -> EmbeddingTable:
@@ -264,18 +250,6 @@ def _call_adopted(item):
     return _adopted_fn(item)
 
 
-def read_similarity_csv(path: str | Path) -> dict[tuple[int, int], float]:
-    """Refined similarities keyed by (i, j); later blocks overwrite earlier ones."""
-    out: dict[tuple[int, int], float] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        rows = [r for r in csv.reader(line for line in handle if not line.startswith("#")) if r]
-    if not rows or rows[0] != ["batch", "i", "j", "value"]:
-        raise FormatError(f"{path}: expected header batch,i,j,value")
-    for row in rows[1:]:
-        out[(int(row[1]), int(row[2]))] = float(row[3])
-    return out
-
-
 def write_neighbors_csv(
     path: str | Path, blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]], config_hash: str
 ) -> None:
@@ -295,8 +269,3 @@ def write_neighbors_csv(
 def write_json(path: str | Path, payload: dict) -> None:
     with _atomic_open(path) as handle:
         handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def read_json(path: str | Path) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diffusion import CLOSED_FORM, DiffusionParams, check_dense_rows, refine_global, refine_similarity
-from .distill import DistillConfig, dynamic_weight, psd_grad, psd_loss, row_softmax
+from .distill import dynamic_weight, psd_grad, psd_loss, row_softmax
 from .embeddings import EmbeddingBatch, cosine_similarity_matrix, normalize_rows, pair_grad_to_raw
 from .errors import InsufficientClasses, NoValidPairs
 from .metrics import EUCLIDEAN, MetricsReport, embedding_density, evaluate_batch, spectral_decay
@@ -190,21 +190,6 @@ def clone_params(params: EncoderParams) -> EncoderParams:
     return EncoderParams(layers=tuple((W.copy(), b.copy()) for W, b in params.layers))
 
 
-def flatten_params(params: EncoderParams) -> np.ndarray:
-    return np.concatenate([a.ravel() for W, b in params.layers for a in (W, b)])
-
-
-def unflatten_params(flat: np.ndarray, template: EncoderParams) -> EncoderParams:
-    layers, pos = [], 0
-    for W, b in template.layers:
-        nW, nb = W.size, b.size
-        layers.append(
-            (flat[pos : pos + nW].reshape(W.shape).copy(), flat[pos + nW : pos + nW + nb].copy())
-        )
-        pos += nW + nb
-    return EncoderParams(layers=tuple(layers))
-
-
 def embed_dataset(params: EncoderParams, dataset: Dataset) -> EmbeddingBatch:
     raw, _ = encoder_forward(params, dataset.inputs)
     return EmbeddingBatch(normalize_rows(raw), dataset.labels)
@@ -276,14 +261,12 @@ class TrainerConfig:
             raise ValueError(f"unknown distill_mode {self.distill_mode!r}")
         if self.diffusion_scope not in (SCOPE_BATCH, SCOPE_GLOBAL):
             raise ValueError(f"unknown diffusion_scope {self.diffusion_scope!r}")
-
-
-@dataclass(frozen=True)
-class TrainState:
-    student: EncoderParams
-    teacher: EncoderParams
-    epoch: int
-    distill_weight: float
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if not self.tau > 0:
+            raise ValueError("tau must be positive")
+        if not self.distill_weight >= 0:
+            raise ValueError("distill_weight must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -351,7 +334,6 @@ def train(
     test_set: Dataset,
     cfg: TrainerConfig,
     seed: int,
-    epoch_callback=None,
 ) -> TrainResult:
     """Run the full loop; deterministic given (datasets, cfg, seed)."""
     if (
@@ -371,15 +353,7 @@ def train(
     for epoch in range(cfg.epochs):
         weight = 0.0
         if cfg.distill_mode != DISTILL_NONE:
-            weight = dynamic_weight(
-                DistillConfig(
-                    tau=cfg.tau,
-                    weight=cfg.distill_weight,
-                    epoch=epoch,
-                    total_epochs=cfg.epochs,
-                    dynamic=cfg.dynamic,
-                )
-            )
+            weight = dynamic_weight(cfg.tau, cfg.distill_weight, epoch, cfg.epochs, cfg.dynamic)
         global_A = None
         if (
             cfg.distill_mode == DISTILL_OBDSD
@@ -405,11 +379,6 @@ def train(
             dml_losses.append(dml_loss)
             distill_losses.append(distill_loss)
 
-        if epoch_callback is not None:
-            # teacher here is still the frozen copy this epoch trained against
-            epoch_callback(
-                TrainState(student=student, teacher=teacher, epoch=epoch, distill_weight=weight)
-            )
         teacher = clone_params(student)
 
         test_embeds = embed_dataset(student, test_set)

@@ -40,11 +40,9 @@ def report(criterion: int, label: str, ok: bool, detail: str = ""):
 
 
 def run_task(mode: str, seed: int, flip: float = 0.0, scope: str = "batch"):
-    config = CONFIG if flip == 0.0 else CONFIG.with_overrides(label_flip_ratio=flip)
-    if scope != "batch":
-        config = config.with_overrides(diffusion_scope=scope)
+    config = CONFIG.with_overrides(distill_mode=mode, label_flip_ratio=flip, diffusion_scope=scope)
     train_set, test_set = zero_shot_task(config.dataset_spec(seed), config["num_train_classes"])
-    return train(train_set, test_set, config.trainer_config(mode), seed=seed)
+    return train(train_set, test_set, config.trainer_config(), seed=seed)
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 import os
 import re
 import stat
@@ -7,20 +9,17 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from diffdistill import cli, embeddings, io, training
 from diffdistill.cli import main
 from diffdistill.config import default_config_text
 from diffdistill.diffusion import MAX_DENSE_ROWS
 from diffdistill.embeddings import EmbeddingBatch, normalize_rows
-from diffdistill.io import (
-    EmbeddingTable,
-    read_embeddings_csv,
-    read_json,
-    read_similarity_csv,
-    write_embeddings_csv,
-)
+from diffdistill.io import EmbeddingTable, read_embeddings_csv, write_embeddings_csv
 from diffdistill.metrics import evaluate_batch
+from helpers import read_json, read_similarity_csv, write_embeddings_binary
 
 
 def config_text(**overrides):
@@ -92,6 +91,30 @@ def test_train_writes_all_artifacts(tmp_path):
     assert run_meta["config_hash"] == chash
     assert run_meta["config"]["lambda"] == 40.0
     assert "version" in run_meta
+
+
+# sha256 of each artifact of `train <default config> --seed 0 --out-dir out`, with
+# every `"diffusion_seconds": <value>` cut out; pins the bytes across refactors
+GOLDEN_DEFAULT_TRAIN = {
+    "embeddings_test_seed0.csv": "3377f32e4b23dbe094c34ba13b75e7df18d092479f09365ca1f97ca1a7d2d20c",
+    "embeddings_train_seed0.csv": "9400f34524071ae68f6000934c64223817aa6df9b7986f84e6a3ecc3d4cef511",
+    "history_seed0.csv": "dc3152d8903bcac94366c98ea98967ed831c47cb11275dbe061f3aacd5d675a0",
+    "run_seed0.json": "1bd64f903546266596f4418d1fb5e820c64714a1b56e60feb39693c86be0311c",
+    "summary.json": "62fe7498df446f85308e14f7e3bbf636a7481f846df933402b33181964cea8d7",
+}
+
+
+def test_default_train_artifacts_match_golden_hashes(tmp_path, monkeypatch):
+    # a relative out_dir: it is part of config_hash, which every artifact embeds
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(default_config_text())
+    assert main(["train", "run.cfg", "--seed", "0", "--out-dir", "out"]) == 0
+    mask = re.compile(rb'"diffusion_seconds": [0-9.e+-]+')
+    digests = {
+        path.name: hashlib.sha256(mask.sub(b"", path.read_bytes())).hexdigest()
+        for path in (tmp_path / "out").iterdir()
+    }
+    assert digests == GOLDEN_DEFAULT_TRAIN
 
 
 def train_on_cpus(tmp_path, monkeypatch, capfd, cpus, **overrides):
@@ -365,6 +388,16 @@ def test_train_global_scope_above_dense_bound_exit_2(tmp_path, monkeypatch, caps
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("epsilon", ["0", "-1e-8", "nan"])
+def test_diffuse_nonpositive_degree_epsilon_exit_2(tmp_path, capsys, epsilon):
+    vectors = np.array([[1.0, 0.1], [0.9, 0.2], [-1.0, 0.0]])  # row 2 has no positive affinity
+    write_table(tmp_path / "emb.csv", vectors, [0, 0, 1])
+    assert main(["diffuse", str(tmp_path / "emb.csv"), "--omega", "0.5", "--batch-size", "3",
+                 f"--degree-epsilon={epsilon}", "--out-dir", str(tmp_path / "out")]) == 2
+    assert "degree_epsilon" in json.loads(capsys.readouterr().err)["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_diffuse_zero_row_exit_3(tmp_path):
     write_table(tmp_path / "emb.csv", [[1.0, 0.0], [0.0, 0.0]], [0, 1])
     assert main(["diffuse", str(tmp_path / "emb.csv"), "--omega", "0.5",
@@ -422,9 +455,105 @@ def test_eval_k_too_large_exit_2(tmp_path):
                  "--out-dir", str(tmp_path)]) == 2
 
 
-def test_eval_and_diffuse_accept_binary_input(tmp_path):
-    from diffdistill.io import write_embeddings_binary
+def test_eval_and_diffuse_oversized_label_exit_2(tmp_path, capsys):
+    path = tmp_path / "emb.csv"
+    path.write_text(f"id,label,e0,e1\na,0,1.0,0.5\nb,{2**63},0.3,0.9\nc,1,0.5,0.5\n")
+    for argv in (["eval", str(path), "--ks", "1"], ["diffuse", str(path), "--omega", "0.5"]):
+        assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "FormatError"
+        assert f"{path}:3:" in record["message"]
 
+
+# Both input readers behind `eval` and `diffuse --mode global`, on broken files:
+# every case must end in a validation, numerical or I/O exit code, never a traceback.
+FUZZ_DIM = 3
+FUZZ_HEADER = ["id", "label"] + [f"e{i}" for i in range(FUZZ_DIM)]
+FUZZ_COMMANDS = (
+    ["eval", "--ks", "1", "--kmeans-restarts", "1"],
+    ["diffuse", "--omega", "0.5", "--mode", "global", "--knn-k", "3"],
+)
+
+
+def fuzz_table():
+    rng = np.random.default_rng(8)
+    return EmbeddingTable(
+        ids=[f"s{i}" for i in range(8)],
+        labels=np.repeat(np.arange(4), 2),
+        vectors=rng.standard_normal((8, FUZZ_DIM)),
+    )
+
+
+def assert_fails_closed(path, out_dir):
+    for command, *options in FUZZ_COMMANDS:
+        code = main([command, str(path), *options, "--out-dir", str(out_dir)])
+        assert code in (2, 3, 4), (command, path.read_bytes())
+
+
+def parsed(parse, text):
+    try:
+        return parse(text)
+    except ValueError:
+        return None
+
+
+def bad_label(text):
+    value = parsed(int, text)
+    return value is None or not 0 <= value < 2**63
+
+
+def bad_coordinate(text):
+    value = parsed(float, text)
+    return value is None or not math.isfinite(value)
+
+
+# no comma, quote or newline: the mutated text stays one cell of its row
+CELL_TEXT = st.text(st.characters(exclude_characters=',"\r\n', exclude_categories=("Cs",)), max_size=12)
+
+
+@st.composite
+def csv_mutations(draw):
+    """(row, column, text) with row 0 the header; text None deletes the cell."""
+    row = draw(st.integers(0, 8))
+    column = draw(st.integers(0 if row == 0 else 1, FUZZ_DIM + 1))  # any id is a valid id
+    if row == 0:
+        invalid = CELL_TEXT.filter(lambda text: text.strip() != FUZZ_HEADER[column])
+    elif column == 1:
+        out_of_range = st.integers(max_value=-1) | st.integers(min_value=2**63)
+        invalid = out_of_range.map(str) | CELL_TEXT.filter(bad_label)
+    else:
+        invalid = st.sampled_from(["nan", "inf", "-inf", "1e999"]) | CELL_TEXT.filter(bad_coordinate)
+    return row, column, draw(st.none() | invalid)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutation=csv_mutations())
+def test_cli_fails_closed_on_mutated_csv_cells(tmp_path, mutation):
+    row, column, text = mutation
+    table = fuzz_table()
+    rows = [list(FUZZ_HEADER)] + [
+        [sid, str(label), *map(repr, vector)]
+        for sid, label, vector in zip(table.ids, table.labels.tolist(), table.vectors.tolist())
+    ]
+    if text is None:
+        del rows[row][column]
+    else:
+        rows[row][column] = text
+    path = tmp_path / "emb.csv"
+    path.write_text("".join(",".join(cells) + "\n" for cells in rows), encoding="utf-8")
+    assert_fails_closed(path, tmp_path / "out")
+
+
+def test_cli_fails_closed_on_every_obsd_truncation(tmp_path):
+    path = tmp_path / "emb.obsd"
+    write_embeddings_binary(path, fuzz_table())
+    blob = path.read_bytes()
+    for size in range(len(blob)):
+        path.write_bytes(blob[:size])
+        assert_fails_closed(path, tmp_path / "out")
+
+
+def test_eval_and_diffuse_accept_binary_input(tmp_path):
     rng = np.random.default_rng(7)
     vectors = rng.standard_normal((10, 5)).astype(np.float32).astype(np.float64)
     labels = np.repeat(np.arange(5), 2)
@@ -502,7 +631,7 @@ def test_sweep_single_value_matches_train(tmp_path):
 
 
 def test_sweep_programming_error_propagates(tmp_path, monkeypatch):
-    def broken(config, seed, distill_mode=None):
+    def broken(config, seed):
         raise TypeError("bug, not a failed run")
 
     monkeypatch.setattr("diffdistill.cli.run_training", broken)
@@ -513,7 +642,7 @@ def test_sweep_programming_error_propagates(tmp_path, monkeypatch):
 
 
 def test_sweep_library_error_becomes_failed_row(tmp_path, monkeypatch):
-    def failing(config, seed, distill_mode=None):
+    def failing(config, seed):
         raise FloatingPointError("overflow")
 
     monkeypatch.setattr("diffdistill.cli.run_training", failing)

@@ -70,5 +70,5 @@ def test_derived_objects(tmp_path):
     trainer = config.trainer_config()
     assert trainer.distill_weight == DEFAULTS["lambda"]
     assert trainer.diffusion.omega == DEFAULTS["omega"]
-    baseline = config.trainer_config(distill_mode="none")
+    baseline = config.with_overrides(distill_mode="none").trainer_config()
     assert baseline.distill_mode == "none"

@@ -33,7 +33,7 @@ PARAMS = DiffusionParams()
 
 def dense_weights(graph):
     """The n x n W of a padded (mutual-kNN) graph."""
-    n = graph.n
+    n = graph.W.shape[0]
     W = np.zeros((n, n))
     W[np.arange(n)[:, None], graph.neighbors] = graph.W
     return W
@@ -485,7 +485,7 @@ def test_epoch_diffusion_time_scales_linearly():
     params = DiffusionParams(omega=0.5)
     sizes = [2048, 4096, 8192]
     times = epoch_diffusion_seconds(
-        [(n, 32, None) for n in sizes], dim=16, params=params, repeats=5, seed=0
+        [(n, 32, None) for n in sizes], dim=16, params=params, repeats=9, seed=0
     )
     scale = sum(t * s for t, s in zip(times, sizes)) / sum(s * s for s in sizes)
     for size, t in zip(sizes, times):

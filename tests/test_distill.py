@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from diffdistill.diffusion import DiffusionParams, build_affinity_batch, diffuse_closed_form, transition_matrix
-from diffdistill.distill import (
-    DistillConfig,
-    dynamic_weight,
-    psd_grad,
-    psd_loss,
-    row_softmax,
-)
+from diffdistill.distill import dynamic_weight, psd_grad, psd_loss, row_softmax
 from diffdistill.embeddings import EmbeddingBatch, cosine_similarity_matrix, normalize_rows
 
 
@@ -155,33 +149,29 @@ def test_obdsd_pipeline_loss_matches_oracle_on_six_points():
 
 
 def test_dynamic_weight_zero_at_epoch_zero():
-    cfg = DistillConfig(tau=2.0, weight=10.0, epoch=0, total_epochs=50, dynamic=True)
-    assert dynamic_weight(cfg) == 0.0
+    assert dynamic_weight(tau=2.0, weight=10.0, epoch=0, total_epochs=50, dynamic=True) == 0.0
 
 
 def test_dynamic_weight_full_at_final_epoch():
-    cfg = DistillConfig(tau=1.0, weight=3.5, epoch=50, total_epochs=50, dynamic=True)
-    assert dynamic_weight(cfg) == pytest.approx(3.5)
+    weight = dynamic_weight(tau=1.0, weight=3.5, epoch=50, total_epochs=50, dynamic=True)
+    assert weight == pytest.approx(3.5)
 
 
 def test_dynamic_weight_midpoint_paper_values():
-    cfg = DistillConfig(tau=1.0, weight=1000.0, epoch=75, total_epochs=150, dynamic=True)
-    assert dynamic_weight(cfg) == pytest.approx(500.0)
+    weight = dynamic_weight(tau=1.0, weight=1000.0, epoch=75, total_epochs=150, dynamic=True)
+    assert weight == pytest.approx(500.0)
 
 
 def test_static_weight_ignores_epoch():
     for epoch in (0, 10, 99):
-        cfg = DistillConfig(tau=2.0, weight=5.0, epoch=epoch, total_epochs=100, dynamic=False)
-        assert dynamic_weight(cfg) == pytest.approx(20.0)
+        weight = dynamic_weight(tau=2.0, weight=5.0, epoch=epoch, total_epochs=100, dynamic=False)
+        assert weight == pytest.approx(20.0)
 
 
 def test_dynamic_weight_monotone_and_linear_in_weight():
-    values = [
-        dynamic_weight(DistillConfig(tau=1.5, weight=2.0, epoch=t, total_epochs=20))
-        for t in range(21)
-    ]
+    values = [dynamic_weight(tau=1.5, weight=2.0, epoch=t, total_epochs=20) for t in range(21)]
     assert all(b >= a for a, b in zip(values, values[1:]))
-    doubled = dynamic_weight(DistillConfig(tau=1.5, weight=4.0, epoch=7, total_epochs=20))
+    doubled = dynamic_weight(tau=1.5, weight=4.0, epoch=7, total_epochs=20)
     assert doubled == pytest.approx(2 * values[7])
 
 

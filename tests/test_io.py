@@ -17,12 +17,11 @@ from diffdistill.io import (
     read_embeddings_auto,
     read_embeddings_binary,
     read_embeddings_csv,
-    read_similarity_csv,
-    write_embeddings_binary,
     write_embeddings_csv,
     write_neighbors_csv,
     write_similarity_csv,
 )
+from helpers import read_similarity_csv, write_embeddings_binary
 
 
 def table(n=5, d=3, seed=0):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from diffdistill import diffusion
+from diffdistill import diffusion, training
 from diffdistill.diffusion import DiffusionParams
 from diffdistill.distill import psd_loss
 from diffdistill.embeddings import cosine_similarity_matrix, normalize_rows
@@ -12,18 +12,16 @@ from diffdistill.training import (
     TrainerConfig,
     baseline_contrastive_loss_and_grad,
     batch_step_gradients,
-    clone_params,
     encoder_backward,
     encoder_forward,
-    flatten_params,
     flip_labels,
     generate_synthetic,
     init_encoder,
     sample_batch,
     train,
-    unflatten_params,
     zero_shot_task,
 )
+from helpers import flatten_params, unflatten_params
 
 SPEC = SyntheticDatasetSpec(
     num_classes=16, samples_per_class=12, input_dim=16, cluster_spread=0.35, seed=7
@@ -333,6 +331,14 @@ def test_combined_gradient_matches_finite_differences():
 # training loop behavior
 
 
+@pytest.mark.parametrize(
+    "field, value", [("tau", 0.0), ("tau", float("nan")), ("distill_weight", -1.0), ("epochs", 0)]
+)
+def test_trainer_config_rejects_bad_schedule(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainerConfig(**{field: value})
+
+
 def test_train_deterministic():
     train_set, test_set = zero_shot_task(SPEC, 8)
     cfg = small_config()
@@ -365,24 +371,30 @@ def test_zero_learning_rate_keeps_parameters():
     assert len(result.history) == 1
 
 
-def test_teacher_frozen_within_epoch_snapshot_at_boundary():
+def test_teacher_frozen_within_epoch_snapshot_at_boundary(monkeypatch):
     train_set, test_set = zero_shot_task(SPEC, 8)
     cfg = small_config(epochs=4)
-    states = []
-    train(
-        train_set,
-        test_set,
-        cfg,
-        seed=2,
-        epoch_callback=lambda s: states.append(
-            (s.epoch, flatten_params(clone_params(s.teacher)), flatten_params(clone_params(s.student)))
-        ),
-    )
-    assert [s[0] for s in states] == [0, 1, 2, 3]
-    for previous, current in zip(states, states[1:]):
-        # the teacher used during epoch t equals the student at the end of t-1
-        np.testing.assert_array_equal(current[1], previous[2])
-        assert not np.array_equal(current[1], current[2])
+    calls = []
+    step = training.batch_step_gradients
+
+    def observed(student, teacher, *args):
+        calls.append((flatten_params(teacher), flatten_params(student)))
+        return step(student, teacher, *args)
+
+    monkeypatch.setattr(training, "batch_step_gradients", observed)
+    train(train_set, test_set, cfg, seed=2)
+    per_epoch = train_set.n // cfg.batch_size
+    assert len(calls) == 4 * per_epoch
+    epochs = [calls[start : start + per_epoch] for start in range(0, len(calls), per_epoch)]
+    for batches in epochs:
+        teacher, first_student = batches[0]
+        # the teacher is the student as it stood when the epoch began: the end of t-1
+        np.testing.assert_array_equal(teacher, first_student)
+        for later_teacher, _ in batches[1:]:
+            np.testing.assert_array_equal(later_teacher, teacher)
+        assert not np.array_equal(teacher, batches[-1][1])
+    for previous, current in zip(epochs, epochs[1:]):
+        assert not np.array_equal(previous[0][0], current[0][0])
 
 
 def test_weight_schedule_recorded_exactly():
