@@ -110,19 +110,38 @@ def run_training(config: RunConfig, seed: int):
     return train(train_set, test_set, config.trainer_config(), seed=seed)
 
 
+def _config_and_seeds(args) -> tuple[RunConfig, list[int]]:
+    """The config file with `--out-dir` bound, and `--seed` or else the config's seeds."""
+    config = load_config(args.config)
+    if args.out_dir is not None:
+        config = config.with_overrides(out_dir=args.out_dir)
+    return config, [args.seed] if args.seed is not None else list(config["seeds"])
+
+
+def _final_record(result) -> dict:
+    """The last epoch's record without its per-epoch training fields."""
+    record = _epoch_record(result.history[-1])
+    return {key: value for key, value in record.items() if key not in _EPOCH_FIELDS}
+
+
+def _aggregate(finals: list[dict], ks) -> dict:
+    """Mean and std over seeds of each final metric; recall once per K."""
+    columns = {f"recall@{k}": [final["recall"][str(k)] for final in finals] for k in ks}
+    for name in ("nmi", "density_ratio", "spectral_decay"):
+        columns[name] = [final[name] for final in finals]
+    return {name: {"mean": float(np.mean(v)), "std": float(np.std(v))} for name, v in columns.items()}
+
+
 def cmd_train(args) -> int:
     if args.emit_default_config:
         sys.stdout.write(default_config_text())
         return EXIT_OK
     if args.config is None:
         raise CliValidationError("train requires a config file (or --emit-default-config)")
-    config = load_config(args.config)
-    if args.out_dir is not None:
-        config = config.with_overrides(out_dir=args.out_dir)
-    seeds = [args.seed] if args.seed is not None else list(config["seeds"])
+    config, seeds = _config_and_seeds(args)
     chash = config.config_hash()
     out_dir = Path(config["out_dir"])
-    ks = list(config["recall_ks"])
+    k = min(config["recall_ks"])  # the headline K
 
     per_seed = {}
     # seeds train in forked workers; this process writes and prints, in seed order
@@ -132,7 +151,7 @@ def cmd_train(args) -> int:
         for split, batch in (("train", result.final_train), ("test", result.final_test)):
             path = out_dir / f"embeddings_{split}_seed{seed}.csv"
             write_embeddings_csv(path, _embedding_table(batch), config_hash=chash)
-        final = {key: value for key, value in history[-1].items() if key not in _EPOCH_FIELDS}
+        final = _final_record(result)
         final["diffusion_seconds"] = result.diffusion_seconds
         write_json(
             out_dir / f"run_seed{seed}.json",
@@ -142,33 +161,24 @@ def cmd_train(args) -> int:
                     "version": __version__,
                     "seed": seed,
                     "optimizer": "gradient_descent_fixed_step",
-                    "config": config.as_flat_dict(),
+                    "config": config.values,
                 },
                 "final": final,
                 "history": history,
             },
         )
         per_seed[str(seed)] = final
-        print(f"seed {seed}: final recall@{ks[0]} = {final['recall'][str(ks[0])]:.4f}")
-
-    def agg(path):
-        values = [path(v) for v in per_seed.values()]
-        return {"mean": float(np.mean(values)), "std": float(np.std(values))}
+        print(f"seed {seed}: final recall@{k} = {final['recall'][str(k)]:.4f}")
 
     summary = {
         "meta": {
             "config_hash": chash,
             "version": __version__,
             "seeds": seeds,
-            "config": config.as_flat_dict(),
+            "config": config.values,
         },
         "per_seed": per_seed,
-        "aggregate": {
-            **{f"recall@{k}": agg(lambda v, k=k: v["recall"][str(k)]) for k in ks},
-            "nmi": agg(lambda v: v["nmi"]),
-            "density_ratio": agg(lambda v: v["density_ratio"]),
-            "spectral_decay": agg(lambda v: v["spectral_decay"]),
-        },
+        "aggregate": _aggregate(list(per_seed.values()), config["recall_ks"]),
     }
     write_json(out_dir / "summary.json", summary)
     return EXIT_OK
@@ -405,9 +415,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = load_config(args.config)
-    if args.out_dir is not None:
-        config = config.with_overrides(out_dir=args.out_dir)
+    config, seeds = _config_and_seeds(args)
     values = []
     for piece in args.values.split(","):
         piece = piece.strip()
@@ -418,12 +426,9 @@ def cmd_sweep(args) -> int:
                 raise CliValidationError(f"bad sweep value {piece!r}") from exc
     if not values:
         raise CliValidationError("sweep needs at least one value")
-    if args.parameter == "omega" and not all(0.0 < v < 1.0 for v in values):
-        raise CliValidationError("omega values must lie in (0, 1)")
-    if args.parameter == "lambda" and not all(v >= 0.0 for v in values):
-        raise CliValidationError("lambda values must be nonnegative")
+    # every value is checked before the first run
+    swept = [config.with_overrides(**{args.parameter: value}) for value in values]
 
-    seeds = [args.seed] if args.seed is not None else list(config["seeds"])
     out_dir = Path(config["out_dir"])
     chash = canonical_hash(
         {
@@ -434,39 +439,23 @@ def cmd_sweep(args) -> int:
             "seeds": tuple(seeds),
         }
     )
-    rows = [["parameter", "value", "seeds", "recall@1_mean", "recall@1_std", "nmi_mean", "nmi_std", "status"]]
-    for value in values:
-        swept = config.with_overrides(**{args.parameter: value})
-        r1s, nmis, status = [], [], "ok"
-        for seed in seeds:
-            try:
-                result = run_training(swept, seed)
-            except (DiffDistillError, ValueError, np.linalg.LinAlgError, FloatingPointError) as exc:
-                # keep partial sweep results on library and numerical failures
-                status = f"failed: {type(exc).__name__}"
-                print(
-                    json.dumps({"warning": "run_failed", "value": value, "seed": seed, "error": str(exc)}),
-                    file=sys.stderr,
-                )
-                break
-            final = result.history[-1]
-            r1s.append(final.test_report.recall_at[min(final.test_report.recall_at)])
-            nmis.append(final.test_report.nmi)
-        if r1s:
-            rows.append(
-                [
-                    args.parameter,
-                    repr(value),
-                    len(r1s),
-                    repr(float(np.mean(r1s))),
-                    repr(float(np.std(r1s))),
-                    repr(float(np.mean(nmis))),
-                    repr(float(np.std(nmis))),
-                    status,
-                ]
-            )
-        else:
-            rows.append([args.parameter, repr(value), 0, "", "", "", "", status])
+    k = min(config["recall_ks"])  # the headline K, as in `train`
+    rows = [["parameter", "value", "seeds", f"recall@{k}_mean", f"recall@{k}_std", "nmi_mean", "nmi_std", "status"]]
+    for value, value_config in zip(values, swept):
+        finals, status = [], "ok"
+        try:
+            for result in fork_map(partial(run_training, value_config), seeds):
+                finals.append(_final_record(result))
+        except (DiffDistillError, ValueError, np.linalg.LinAlgError, FloatingPointError) as exc:
+            # keep partial sweep results on library and numerical failures
+            status = f"failed: {type(exc).__name__}"
+            failed = {"warning": "run_failed", "value": value, "seed": seeds[len(finals)], "error": str(exc)}
+            print(json.dumps(failed), file=sys.stderr)
+        cells = [""] * 4
+        if finals:
+            aggregate = _aggregate(finals, [k])
+            cells = [repr(aggregate[name][stat]) for name in (f"recall@{k}", "nmi") for stat in ("mean", "std")]
+        rows.append([args.parameter, repr(value), len(finals), *cells, status])
         # partial results survive later failures
         write_csv_rows(out_dir / "sweep.csv", rows, chash)
     print(f"swept {args.parameter} over {len(values)} value(s); results in {out_dir / 'sweep.csv'}")

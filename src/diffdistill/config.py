@@ -103,6 +103,15 @@ _SCHEMA: dict[str, tuple] = {
 DEFAULTS = {key: default for key, (_, default, _v) in _SCHEMA.items()}
 
 
+def _check_value(key: str, value, where: str):
+    """`value` if it passes the schema check of `key`, else a ConfigError prefixed by `where`."""
+    validator = _SCHEMA[key][2]
+    verdict = True if validator is None else validator(value)
+    if verdict is not True:
+        raise ConfigError(f"{where}field {key!r} {verdict}, got {value!r}")
+    return value
+
+
 def _canonical_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -180,18 +189,15 @@ class RunConfig:
         )
 
     def with_overrides(self, **overrides) -> "RunConfig":
+        """A copy with `overrides` bound; each value passes its field's schema check."""
         unknown = set(overrides) - set(_SCHEMA)
         if unknown:
             raise ConfigError(f"unknown config field(s): {', '.join(sorted(unknown))}")
+        for key, value in overrides.items():
+            _check_value(key, value, "override: ")
         merged = dict(self.values)
         merged.update(overrides)
         return RunConfig(values=merged)
-
-    def as_flat_dict(self) -> dict:
-        out = {}
-        for key, value in self.values.items():
-            out[key] = list(value) if isinstance(value, tuple) else value
-        return out
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
@@ -208,16 +214,12 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
             raise ConfigError(f"{source}:{lineno}: unknown config field {key!r}")
         if key in values:
             raise ConfigError(f"{source}:{lineno}: duplicate config field {key!r}")
-        parser, _default, validator = _SCHEMA[key]
+        parser = _SCHEMA[key][0]
         try:
             value = parser(raw_value.strip())
         except ValueError as exc:
             raise ConfigError(f"{source}:{lineno}: field {key!r}: {exc}") from exc
-        if validator is not None:
-            verdict = validator(value)
-            if verdict is not True:
-                raise ConfigError(f"{source}:{lineno}: field {key!r} {verdict}")
-        values[key] = value
+        values[key] = _check_value(key, value, f"{source}:{lineno}: ")
     missing = [key for key in _SCHEMA if key not in values]
     if missing:
         raise ConfigError(f"{source}: missing config field(s): {', '.join(missing)}")

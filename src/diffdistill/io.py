@@ -102,17 +102,19 @@ def write_embeddings_csv(
 
 def read_embeddings_csv(path: str | Path) -> EmbeddingTable:
     with open(path, "r", encoding="utf-8") as handle:
-        rows = [r for r in csv.reader(line for line in handle if not line.startswith("#")) if r]
+        # a comment becomes a blank line, so line_num stays the file's line number
+        reader = csv.reader("\n" if line.startswith("#") else line for line in handle)
+        rows = [(reader.line_num, r) for r in reader if r]
     if not rows:
         raise FormatError(f"{path}: empty embedding file")
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in rows[0][1]]
     if len(header) < 3 or header[0] != "id" or header[1] != "label":
         raise FormatError(f"{path}: header must start with id,label,e0,...")
     dim = len(header) - 2
     if header[2:] != [f"e{i}" for i in range(dim)]:
         raise FormatError(f"{path}: coordinate columns must be e0,...,e{dim - 1}")
     ids, labels, vectors = [], [], []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if len(row) != len(header):
             raise FormatError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
         ids.append(row[0])

@@ -157,7 +157,9 @@ def kmeans(
     X = np.ascontiguousarray(X)  # numpy's summation order follows the memory layout
     if not 1 <= k <= X.shape[0]:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={X.shape[0]}")
-    assign, inertia = _kmeans_restarts(X, k, max(1, restarts), seed, max_iter)
+    if restarts < 1:
+        raise ValueError(f"k-means needs at least 1 restart, got {restarts}")
+    assign, inertia = _kmeans_restarts(X, k, restarts, seed, max_iter)
     inertia[~np.isfinite(inertia)] = np.inf
     best = int(np.argmin(inertia))
     if inertia[best] == np.inf:

@@ -408,6 +408,6 @@ def train(
         params=student,
         history=history,
         diffusion_seconds=diffusion_seconds,
-        final_train=embed_dataset(student, train_set),
-        final_test=embed_dataset(student, test_set),
+        final_train=train_embeds,  # the last epoch's embeddings of the final student
+        final_test=test_embeds,
     )

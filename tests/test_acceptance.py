@@ -354,7 +354,7 @@ def test_criterion_10_linear_epoch_cost():
     params = DiffusionParams(omega=0.5)
     sizes = [2048, 4096, 8192]
     times = epoch_diffusion_seconds(
-        [(n, 32, None) for n in sizes], dim=16, params=params, repeats=5, seed=0
+        [(n, 32, None) for n in sizes], dim=16, params=params, repeats=9, seed=0
     )
     scale = sum(t * s for t, s in zip(times, sizes)) / sum(s * s for s in sizes)
     deviations = [abs(t - scale * s) / (scale * s) for t, s in zip(times, sizes)]

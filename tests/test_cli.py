@@ -117,9 +117,10 @@ def test_default_train_artifacts_match_golden_hashes(tmp_path, monkeypatch):
     assert digests == GOLDEN_DEFAULT_TRAIN
 
 
-def train_on_cpus(tmp_path, monkeypatch, capfd, cpus, **overrides):
-    """Run `train` from its own directory with the affinity mask forced to `cpus` CPUs.
+def run_on_cpus(tmp_path, monkeypatch, capfd, cpus, command=("train",), **overrides):
+    """Run `command run.cfg` from its own directory with the affinity mask forced to `cpus` CPUs.
 
+    `command` is the subcommand, then any arguments after the config path.
     capfd also sees what forked workers write to the inherited file descriptors.
     """
     run_dir = tmp_path / f"cpus{cpus}"
@@ -127,13 +128,13 @@ def train_on_cpus(tmp_path, monkeypatch, capfd, cpus, **overrides):
     (run_dir / "run.cfg").write_text(config_text(out_dir="out", **overrides))
     monkeypatch.chdir(run_dir)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    code = main(["train", "run.cfg"])
+    code = main([command[0], "run.cfg", *command[1:]])
     return code, capfd.readouterr(), run_dir / "out"
 
 
 def test_train_artifacts_and_stdout_do_not_depend_on_cpu_count(tmp_path, monkeypatch, capfd):
     # five seeds on two workers: more seeds than the four the pool keeps in flight
-    runs = [train_on_cpus(tmp_path, monkeypatch, capfd, cpus, seeds="0,1,2,3,4") for cpus in (1, 2)]
+    runs = [run_on_cpus(tmp_path, monkeypatch, capfd, cpus, seeds="0,1,2,3,4") for cpus in (1, 2)]
     (code1, io1, out1), (code2, io2, out2) = runs
     assert code1 == code2 == 0
     assert io1.out == io2.out
@@ -148,7 +149,7 @@ def test_train_artifacts_and_stdout_do_not_depend_on_cpu_count(tmp_path, monkeyp
 
 def test_train_worker_numerical_failure_exit_3_one_json_line(tmp_path, monkeypatch, capfd):
     failing = {"diffusion_mode": "iterative", "max_iter": 1}
-    runs = [train_on_cpus(tmp_path, monkeypatch, capfd, cpus, **failing) for cpus in (1, 2)]
+    runs = [run_on_cpus(tmp_path, monkeypatch, capfd, cpus, **failing) for cpus in (1, 2)]
     for code, captured, _ in runs:
         assert code == 3
         lines = captured.err.splitlines()
@@ -455,6 +456,16 @@ def test_eval_k_too_large_exit_2(tmp_path):
                  "--out-dir", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("restarts", ["0", "-3"])
+def test_eval_nonpositive_kmeans_restarts_exit_2(tmp_path, capsys, restarts):
+    write_table(tmp_path / "emb.csv", np.eye(4), [0, 0, 1, 1])
+    code = main(["eval", str(tmp_path / "emb.csv"), "--ks", "1", "--kmeans-restarts", restarts,
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "ValueError"
+    assert not (tmp_path / "out" / "metrics.json").exists()
+
+
 def test_eval_and_diffuse_oversized_label_exit_2(tmp_path, capsys):
     path = tmp_path / "emb.csv"
     path.write_text(f"id,label,e0,e1\na,0,1.0,0.5\nb,{2**63},0.3,0.9\nc,1,0.5,0.5\n")
@@ -657,6 +668,69 @@ def test_sweep_omega_out_of_range_exit_2(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config_text(out_dir=str(tmp_path / "out")))
     assert main(["sweep", str(cfg), "omega", "0.5,1.5"]) == 2
+
+
+def test_sweep_csv_and_stdout_do_not_depend_on_cpu_count(tmp_path, monkeypatch, capfd):
+    sweep = ("sweep", "omega", "0.3,0.7")
+    runs = [run_on_cpus(tmp_path, monkeypatch, capfd, cpus, sweep, seeds="0,1,2") for cpus in (1, 2)]
+    (code1, io1, out1), (code2, io2, out2) = runs
+    assert code1 == code2 == 0
+    assert io1.out == io2.out
+    assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+    rows = data_rows(out1 / "sweep.csv")
+    assert [row.split(",")[:3] for row in rows[1:]] == [["omega", "0.3", "3"], ["omega", "0.7", "3"]]
+
+
+def test_train_and_sweep_headline_is_the_smallest_recall_k(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    # a wide spread, so recall@2 and recall@4 differ
+    cfg.write_text(config_text(
+        out_dir=str(tmp_path / "out"), seeds="0", epochs=2, recall_ks="4,2", cluster_spread=0.5
+    ))
+    assert main(["sweep", str(cfg), "lambda", "40.0"]) == 0
+    header, row = data_rows(tmp_path / "out" / "sweep.csv")
+    assert header.split(",")[3:5] == ["recall@2_mean", "recall@2_std"]
+    assert main(["train", str(cfg), "--out-dir", str(tmp_path / "trained")]) == 0
+    recall = read_json(tmp_path / "trained" / "run_seed0.json")["final"]["recall"]
+    assert recall["2"] != recall["4"]
+    assert float(row.split(",")[3]) == recall["2"]
+    assert capsys.readouterr().out.splitlines()[-1] == f"seed 0: final recall@2 = {recall['2']:.4f}"
+
+
+@pytest.mark.parametrize("parameter, values", [("omega", "0.5,1.5"), ("lambda", "40,-1")])
+def test_sweep_bad_later_value_exit_2_before_any_run(tmp_path, monkeypatch, capsys, parameter, values):
+    def never(config, seed):
+        raise AssertionError("trained before every value was checked")
+
+    monkeypatch.setattr("diffdistill.cli.run_training", never)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config_text(out_dir=str(tmp_path / "out")))
+    assert main(["sweep", str(cfg), parameter, values]) == 2
+    record = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert record["error"] == "ConfigError" and repr(parameter) in record["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_sweep_failure_on_one_seed_keeps_the_seeds_before_it(tmp_path, monkeypatch, capfd, cpus):
+    real_run_training = cli.run_training
+
+    def fails_on_seed_1(config, seed):
+        if seed == 1:
+            raise FloatingPointError("overflow on seed 1")
+        return real_run_training(config, seed)
+
+    monkeypatch.setattr("diffdistill.cli.run_training", fails_on_seed_1)
+    sweep = ("sweep", "omega", "0.5")
+    code, captured, out = run_on_cpus(tmp_path, monkeypatch, capfd, cpus, sweep, seeds="0,1,2")
+    assert code == 0
+    row = data_rows(out / "sweep.csv")[1]
+    assert row.startswith("omega,0.5,1,") and row.endswith(",failed: FloatingPointError")
+    assert "" not in row.split(",")
+    warnings = [json.loads(line) for line in captured.err.splitlines() if "run_failed" in line]
+    assert warnings == [
+        {"warning": "run_failed", "value": 0.5, "seed": 1, "error": "overflow on seed 1"}
+    ]
 
 
 # ---------------------------------------------------------------------------

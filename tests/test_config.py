@@ -60,6 +60,13 @@ def test_overrides_reject_unknown():
         config.with_overrides(nonsense=1)
 
 
+@pytest.mark.parametrize("field, value", [("omega", 1.5), ("lambda", -1.0), ("epochs", 0)])
+def test_overrides_pass_the_schema_check(field, value):
+    config = parse_config_text(default_config_text())
+    with pytest.raises(ConfigError, match=f"override: field '{field}' .*, got {value!r}"):
+        config.with_overrides(**{field: value})
+
+
 def test_derived_objects(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(default_config_text())

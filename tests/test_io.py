@@ -1,3 +1,4 @@
+import contextlib
 import os
 import select
 import signal
@@ -71,6 +72,13 @@ def test_csv_rejects_negative_label(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("id,label,e0\na,-1,1.0\n")
     with pytest.raises(FormatError):
+        read_embeddings_csv(path)
+
+
+def test_csv_error_names_the_file_line_past_comments_and_blanks(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_text("# config_hash=x\nid,label,e0\na,0,1.0\n\n# note\nb,x,1.0\n")
+    with pytest.raises(FormatError, match=r"c\.csv:6: "):
         read_embeddings_csv(path)
 
 
@@ -322,7 +330,9 @@ io.FORMAT_SPAN_ROWS = 4
 os.sched_getaffinity = lambda pid: {0, 1}
 
 def stall(*args):
-    print(os.getpid(), flush=True)
+    # one write, so the two workers' lines cannot interleave (print writes the
+    # pid and the newline separately when stdout is unbuffered)
+    os.write(1, b"%d\\n" % os.getpid())
     time.sleep(300)
 
 io._row_text = stall
@@ -340,15 +350,19 @@ def test_parallel_workers_exit_when_the_writer_is_killed(tmp_path):
     workers = []
     try:
         while len(workers) < 2:  # both workers are stalled in a span
-            assert select.select([proc.stdout], [], [], 60)[0], "a worker did not start"
+            started = select.select([proc.stdout], [], [], 60)[0]
+            assert started, f"worker start: no pid within 60 s; worker pids seen {workers}"
             workers.append(int(proc.stdout.readline()))
         proc.kill()
+        wait = "writer exit"
         proc.wait(timeout=60)
+        wait = "pipe EOF"
         # the workers hold the stdout pipe, so EOF means both have exited
         proc.communicate(timeout=30)
-    except subprocess.TimeoutExpired:
+    except subprocess.TimeoutExpired as exc:
         for pid in workers:
-            os.kill(pid, signal.SIGKILL)
-        raise
+            with contextlib.suppress(ProcessLookupError):  # a worker that did exit
+                os.kill(pid, signal.SIGKILL)
+        raise AssertionError(f"{wait}: timed out after {exc.timeout} s; worker pids seen {workers}") from exc
     finally:
         proc.kill()
