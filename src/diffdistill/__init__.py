@@ -34,7 +34,6 @@ from .embeddings import (
 )
 from .errors import (
     DegenerateGraph,
-    DegenerateGraphWarning,
     DiffDistillError,
     InsufficientClasses,
     KTooLarge,

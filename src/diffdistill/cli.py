@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from functools import partial
 from pathlib import Path
 
@@ -22,14 +21,13 @@ from .config import ConfigError, RunConfig, canonical_hash, default_config_text,
 from .diffusion import (
     DiffusionParams,
     build_affinity_batch,
-    check_dense_rows,
     refine_global,
     refine_similarity,
     refinement_objective,
 )
 from .distill import psd_grad, psd_loss, row_softmax
 from .embeddings import EmbeddingBatch, cosine_similarity_matrix, normalize_rows, top_neighbors
-from .errors import DegenerateGraphWarning, DiffDistillError, KTooLarge
+from .errors import DiffDistillError, KTooLarge
 from .io import (
     EmbeddingTable,
     FormatError,
@@ -62,6 +60,18 @@ def _error_record(exc: Exception, exit_code: int) -> int:
 
 def _normalized_batch(table: EmbeddingTable) -> EmbeddingBatch:
     return EmbeddingBatch(normalize_rows(table.vectors), table.labels)
+
+
+def _warn_degenerate(rows: list[int], **where) -> None:
+    """One stderr line naming the rows whose affinity degree was floored, and where."""
+    print(json.dumps({"warning": "DegenerateGraph", **where, "rows": rows}), file=sys.stderr)
+
+
+def _warn_floored_rows(result, **where) -> None:
+    """A training run's floored train-set rows, over all epochs, if there are any."""
+    if result.degenerate_rows:
+        rows = sorted(set().union(*result.degenerate_rows.values()))
+        _warn_degenerate(rows, **where, epochs=list(result.degenerate_rows))
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +179,7 @@ def cmd_train(args) -> int:
         )
         per_seed[str(seed)] = final
         print(f"seed {seed}: final recall@{k} = {final['recall'][str(k)]:.4f}")
+        _warn_floored_rows(result, seed=seed)
 
     summary = {
         "meta": {
@@ -189,12 +200,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_diffuse(args) -> int:
-    if not 0.0 < args.omega < 1.0:
-        raise CliValidationError(f"omega must lie in (0, 1), got {args.omega}")
+    params = DiffusionParams(omega=args.omega, degree_epsilon=args.degree_epsilon)
     table = read_embeddings_auto(args.embeddings)
     batch_all = _normalized_batch(table)
     n = batch_all.n
-    params = DiffusionParams(omega=args.omega, degree_epsilon=args.degree_epsilon)
     chash = canonical_hash(
         {
             "command": "diffuse",
@@ -210,7 +219,6 @@ def cmd_diffuse(args) -> int:
     if args.mode == "global":
         if not 1 <= args.knn_k < n:
             raise CliValidationError(f"knn_k must satisfy 1 <= k < n={n}, got {args.knn_k}")
-        check_dense_rows(n)
         spans = [(0, n)]
     else:
         if args.batch_size < 2:
@@ -224,19 +232,12 @@ def cmd_diffuse(args) -> int:
     blocks = []
     for batch_index, (start, stop) in enumerate(spans):
         z = batch_all.vectors[start:stop]
-        with warnings.catch_warnings():
-            # reported below, once, with file row numbers
-            warnings.simplefilter("ignore", DegenerateGraphWarning)
-            if args.mode == "global":
-                result = refine_global(z, params, args.knn_k)  # A = Y Z^T, kept factored
-            else:
-                result = refine_similarity(cosine_similarity_matrix(z), params)
+        if args.mode == "global":
+            result = refine_global(z, params, args.knn_k)  # A = Y Z^T, kept factored
+        else:
+            result = refine_similarity(cosine_similarity_matrix(z), params)
         if result.degenerate_rows:
-            rows = [start + r for r in result.degenerate_rows]
-            print(
-                json.dumps({"warning": "DegenerateGraph", "batch": batch_index, "rows": rows}),
-                file=sys.stderr,
-            )
+            _warn_degenerate([start + r for r in result.degenerate_rows], batch=batch_index)
         blocks.append((batch_index, np.arange(start, stop), result.matrix))
 
     out_dir = Path(args.out_dir)
@@ -302,7 +303,7 @@ def _fd_grad(f, x: np.ndarray, step: float) -> np.ndarray:
 # passes when the worst value over all trials stays below its threshold.
 
 
-def _distill_trial(rng, corrupt: bool):
+def _distill_trial(rng):
     n = int(rng.integers(3, 9))
     d = int(rng.integers(2, 7))
     tau = float(rng.choice([0.5, 1.0, 2.0]))
@@ -310,8 +311,6 @@ def _distill_trial(rng, corrupt: bool):
     target = rng.standard_normal((n, n))
     target = (target + target.T) / 2.0
     analytic = psd_grad(V, row_softmax(target, tau), tau)
-    if corrupt:
-        analytic = analytic + 1e-3
     fd = _fd_grad(
         lambda W: psd_loss(target, cosine_similarity_matrix(normalize_rows(W)), tau), V, 1e-6
     )
@@ -319,7 +318,7 @@ def _distill_trial(rng, corrupt: bool):
     return rel, {"V": V.tolist(), "target": target.tolist(), "tau": tau}
 
 
-def _baseline_trial(rng, corrupt: bool):
+def _baseline_trial(rng):
     n = int(rng.integers(4, 9))
     d = int(rng.integers(2, 7))
     margin = float(rng.uniform(0.1, 0.8))
@@ -329,30 +328,24 @@ def _baseline_trial(rng, corrupt: bool):
         labels[0] = labels[1]  # guarantee one positive pair
         labels[-1] = labels[0] + 1  # and one negative
     _, analytic = baseline_contrastive_loss_and_grad(V, labels, margin)
-    if corrupt:
-        analytic = analytic + 1e-3
     fd = _fd_grad(lambda W: baseline_contrastive_loss_and_grad(W, labels, margin)[0], V, 1e-6)
     rel = float(np.abs(analytic - fd).max() / (np.abs(fd).max() + 1e-12))
     return rel, {"V": V.tolist(), "labels": labels.tolist(), "margin": margin}
 
 
-def _stationarity_trial(rng, corrupt: bool):
+def _stationarity_trial(rng):
     n = int(rng.integers(4, 11))
     d = int(rng.integers(3, 7))
     omega = float(rng.choice([0.1, 0.5, 0.9]))
     params = DiffusionParams(omega=omega)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateGraphWarning)
-        while True:
-            # stationarity holds on graphs whose degrees needed no flooring
-            Z = normalize_rows(rng.standard_normal((n, d)))
-            D = cosine_similarity_matrix(Z)
-            graph = build_affinity_batch(D, params)
-            if not graph.degenerate_rows:
-                break
+    while True:
+        # stationarity holds on graphs whose degrees needed no flooring
+        Z = normalize_rows(rng.standard_normal((n, d)))
+        D = cosine_similarity_matrix(Z)
+        graph = build_affinity_batch(D, params)
+        if not graph.degenerate_rows:
+            break
     A = refine_similarity(D, params).matrix
-    if corrupt:
-        A = A + 1e-3
     grad = _fd_grad(lambda M: refinement_objective(M, graph.W, graph.degrees, D, omega), A, 1e-5)
     max_grad = float(np.abs(grad).max())
     bound = 1e-6 * (1.0 + float(np.abs(D).max()))
@@ -375,7 +368,7 @@ def cmd_gradcheck(args) -> int:
     for name, trial, threshold in checks:
         worst, worst_case = 0.0, None
         for _ in range(args.trials):
-            value, instance = trial(rng, args.corrupt)
+            value, instance = trial(rng)
             if value > worst:
                 worst, worst_case = value, instance
         ok = worst < threshold
@@ -444,8 +437,9 @@ def cmd_sweep(args) -> int:
     for value, value_config in zip(values, swept):
         finals, status = [], "ok"
         try:
-            for result in fork_map(partial(run_training, value_config), seeds):
+            for seed, result in zip(seeds, fork_map(partial(run_training, value_config), seeds)):
                 finals.append(_final_record(result))
+                _warn_floored_rows(result, value=value, seed=seed)
         except (DiffDistillError, ValueError, np.linalg.LinAlgError, FloatingPointError) as exc:
             # keep partial sweep results on library and numerical failures
             status = f"failed: {type(exc).__name__}"
@@ -510,9 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference verification of all gradients")
     p_grad.add_argument("--trials", type=int, default=50)
-    p_grad.add_argument(
-        "--corrupt", action="store_true", help=argparse.SUPPRESS  # negative-control test hook
-    )
     add_common(p_grad)
     p_grad.set_defaults(func=cmd_gradcheck)
 

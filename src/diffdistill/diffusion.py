@@ -17,13 +17,12 @@ plus ((1-omega)/omega) ||A - D||_F^2 anchoring A to the initial similarities.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .embeddings import FactoredSimilarity, top_neighbors
-from .errors import DegenerateGraph, DegenerateGraphWarning, NotConverged, SingularSystem
+from .errors import DegenerateGraph, NotConverged, SingularSystem
 
 CLOSED_FORM = "closed_form"
 ITERATIVE = "iterative"
@@ -35,9 +34,9 @@ ITERATIVE = "iterative"
 MAX_DENSE_ROWS = 6144
 
 
-def check_dense_rows(n: int) -> None:
+def check_dense_rows(n: int, params: DiffusionParams) -> None:
     """Raise ValueError when a closed-form global diffusion over n rows exceeds MAX_DENSE_ROWS."""
-    if n > MAX_DENSE_ROWS:
+    if params.mode == CLOSED_FORM and n > MAX_DENSE_ROWS:
         raise ValueError(
             f"closed-form global diffusion is dense (n^2 memory): {n} rows exceed "
             f"MAX_DENSE_ROWS={MAX_DENSE_ROWS}"
@@ -75,7 +74,7 @@ class AffinityGraph:
     `neighbors` are (n, k), W[i, s] the weight of the pair (i, neighbors[i, s]);
     a slot whose pair is no edge weighs 0, and no row lists itself.
     `degrees` holds the diagonal of V after flooring; `degenerate_rows` lists
-    rows whose raw degree fell below the floor (reported, then floored).
+    rows whose raw degree fell below the floor (the only report of the floor).
     """
 
     W: np.ndarray
@@ -101,14 +100,8 @@ def _finalize_affinity(W: np.ndarray, degree_epsilon: float, neighbors=None) -> 
     np.clip(W, 0.0, None, out=W)
     degrees = W.sum(axis=1)
     degenerate = np.nonzero(degrees < degree_epsilon)[0]
-    if degenerate.size:
-        warnings.warn(
-            f"affinity rows {degenerate.tolist()} have degree < {degree_epsilon}; "
-            "flooring to keep the normalization defined",
-            DegenerateGraphWarning,
-            stacklevel=3,
-        )
-        degrees = np.maximum(degrees, degree_epsilon)
+    # a degree >= epsilon passes unchanged and NaN stays NaN
+    degrees = np.maximum(degrees, degree_epsilon)
     return AffinityGraph(W, degrees, tuple(int(i) for i in degenerate), neighbors)
 
 
@@ -242,6 +235,7 @@ def refine_global(Z: np.ndarray, params: DiffusionParams, knn_k: int) -> Diffusi
     iterate of Y.
     """
     Z = np.asarray(Z, dtype=np.float64)
+    check_dense_rows(Z.shape[0], params)
     graph = build_affinity_knn(FactoredSimilarity(Z, Z, clip=True), knn_k, params)
     result = _diffuse(graph, Z, params)
     return replace(result, matrix=FactoredSimilarity(result.matrix, Z))

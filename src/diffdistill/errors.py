@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the library."""
+"""Exception types shared across the library."""
 
 import copyreg
 
@@ -30,10 +30,6 @@ class DegenerateGraph(DiffDistillError):
         rows = tuple(int(r) for r in rows)
         super().__init__(message or f"degenerate affinity graph: rows {rows} have no positive degree")
         self.rows = rows
-
-
-class DegenerateGraphWarning(UserWarning):
-    """Emitted when affinity construction had to floor degenerate node degrees."""
 
 
 class SingularSystem(DiffDistillError):

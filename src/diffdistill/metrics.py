@@ -22,6 +22,8 @@ from .errors import KTooLarge, RankDeficient, UndefinedDensity
 EUCLIDEAN = "euclidean"
 COSINE = "cosine"  # cosine distance, 1 - z_i . z_j
 
+DENSITY_BLOCK_PAIRS = 4096  # same-class pairs whose rows `embedding_density` gathers at once
+
 
 @dataclass(frozen=True)
 class MetricsReport:
@@ -210,7 +212,7 @@ def embedding_density(
     distance between class-mean embeddings, both over ordered distinct pairs.
     """
     labels = batch.labels
-    classes = np.unique(labels)
+    classes, sizes = np.unique(labels, return_counts=True)
     if classes.size < 2:
         raise UndefinedDensity("need at least 2 classes")
     Z = batch.vectors
@@ -221,12 +223,22 @@ def embedding_density(
 
     # ordered same-class pairs, class by class, in row-major order within a class
     order = np.argsort(labels, kind="stable")
-    same = labels[order, None] == labels[order]
-    np.fill_diagonal(same, False)
-    pi, pj = np.nonzero(same)
-    if not pi.size:
+    Zs = Z[order]
+    partners = np.repeat(sizes - 1, sizes)  # per sorted row: its class's other rows
+    class_start = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    offsets = np.concatenate(([0], np.cumsum(partners)))  # each row's first pair
+    if not offsets[-1]:
         raise UndefinedDensity("need at least one class with >= 2 samples")
-    intra = float(np.mean(_pair_distance(Z[order[pi]], Z[order[pj]], distance)))
+    pair_distances = np.empty(offsets[-1])
+    a = 0
+    while a < Zs.shape[0]:
+        b = max(a + 1, int(np.searchsorted(offsets, offsets[a] + DENSITY_BLOCK_PAIRS, "right")) - 1)
+        pi = np.repeat(np.arange(a, b), partners[a:b])
+        pj = class_start[pi] + np.arange(pi.size) - (offsets[pi] - offsets[a])
+        pj += pj >= pi  # skip the row itself
+        pair_distances[offsets[a] : offsets[b]] = _pair_distance(Zs[pi], Zs[pj], distance)
+        a = b
+    intra = float(np.mean(pair_distances))
     if inter == 0.0:
         raise UndefinedDensity("all class means coincide; inter-class distance is zero")
     return intra, inter, intra / inter

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffusion import CLOSED_FORM, DiffusionParams, check_dense_rows, refine_global, refine_similarity
+from .diffusion import DiffusionParams, check_dense_rows, refine_global, refine_similarity
 from .distill import dynamic_weight, psd_grad, psd_loss, row_softmax
 from .embeddings import EmbeddingBatch, cosine_similarity_matrix, normalize_rows, pair_grad_to_raw
 from .errors import InsufficientClasses, NoValidPairs
@@ -136,10 +136,6 @@ class EncoderParams:
     """(weight, bias) per layer; tanh between layers, linear output."""
 
     layers: tuple[tuple[np.ndarray, np.ndarray], ...]
-
-    @property
-    def embed_dim(self) -> int:
-        return self.layers[-1][0].shape[1]
 
 
 def init_encoder(
@@ -287,6 +283,7 @@ class TrainResult:
     diffusion_seconds: float
     final_train: EmbeddingBatch
     final_test: EmbeddingBatch
+    degenerate_rows: dict[int, tuple[int, ...]]  # epoch -> the train rows its diffusion floored
 
 
 def batch_step_gradients(
@@ -300,15 +297,17 @@ def batch_step_gradients(
 ):
     """One batch: losses and parameter gradients of L_DML + weight * L_distill.
 
-    Returns (dml_loss, distill_loss, param_grads, diffusion_seconds). The
-    distillation branch (teacher forward, diffusion, KL) is skipped entirely
-    when weight == 0 so a zero-weight run is arithmetically identical to the
-    baseline.
+    Returns (dml_loss, distill_loss, param_grads, diffusion_seconds,
+    degenerate_rows), the last the batch rows the batch-scope diffusion
+    floored. The distillation branch (teacher forward, diffusion, KL) is
+    skipped entirely when weight == 0 so a zero-weight run is arithmetically
+    identical to the baseline.
     """
     V, caches = encoder_forward(student, X)
     dml_loss, d_raw = baseline_contrastive_loss_and_grad(V, y, cfg.margin)
     distill_loss = 0.0
     diff_seconds = 0.0
+    floored = ()
     if cfg.distill_mode != DISTILL_NONE and weight != 0.0:
         if cfg.distill_mode == DISTILL_PSD:
             teacher_raw, _ = encoder_forward(teacher, X)
@@ -320,13 +319,14 @@ def batch_step_gradients(
             teacher_raw, _ = encoder_forward(teacher, X)
             z_teacher = normalize_rows(teacher_raw)
             started = time.perf_counter()
-            target = refine_similarity(cosine_similarity_matrix(z_teacher), cfg.diffusion).matrix
+            refined = refine_similarity(cosine_similarity_matrix(z_teacher), cfg.diffusion)
             diff_seconds += time.perf_counter() - started
+            target, floored = refined.matrix, refined.degenerate_rows
         student_D = cosine_similarity_matrix(normalize_rows(V))
         distill_loss = psd_loss(target, student_D, cfg.tau)
         d_raw = d_raw + weight * psd_grad(V, row_softmax(target, cfg.tau), cfg.tau)
     grads = encoder_backward(student, caches, d_raw)
-    return dml_loss, distill_loss, grads, diff_seconds
+    return dml_loss, distill_loss, grads, diff_seconds, floored
 
 
 def train(
@@ -336,12 +336,8 @@ def train(
     seed: int,
 ) -> TrainResult:
     """Run the full loop; deterministic given (datasets, cfg, seed)."""
-    if (
-        cfg.distill_mode == DISTILL_OBDSD
-        and cfg.diffusion_scope == SCOPE_GLOBAL
-        and cfg.diffusion.mode == CLOSED_FORM
-    ):
-        check_dense_rows(train_set.n)
+    if cfg.distill_mode == DISTILL_OBDSD and cfg.diffusion_scope == SCOPE_GLOBAL:
+        check_dense_rows(train_set.n, cfg.diffusion)  # fail before the first epoch
     rng = np.random.default_rng(seed)
     input_dim = train_set.inputs.shape[1]
     student = init_encoder(rng, input_dim, cfg.hidden_dim, cfg.embed_dim)
@@ -349,12 +345,13 @@ def train(
     batches_per_epoch = max(1, train_set.n // cfg.batch_size)
     history: list[EpochRecord] = []
     diffusion_seconds = 0.0
+    degenerate_rows = {}
 
     for epoch in range(cfg.epochs):
         weight = 0.0
         if cfg.distill_mode != DISTILL_NONE:
             weight = dynamic_weight(cfg.tau, cfg.distill_weight, epoch, cfg.epochs, cfg.dynamic)
-        global_A = None
+        global_A, floored = None, set()
         if (
             cfg.distill_mode == DISTILL_OBDSD
             and cfg.diffusion_scope == SCOPE_GLOBAL
@@ -364,22 +361,27 @@ def train(
             # graph, kept factored as A = Y Z^T
             teacher_all = embed_dataset(teacher, train_set)
             started = time.perf_counter()
-            global_A = refine_global(teacher_all.vectors, cfg.diffusion, cfg.knn_k).matrix
+            refined = refine_global(teacher_all.vectors, cfg.diffusion, cfg.knn_k)
             diffusion_seconds += time.perf_counter() - started
+            global_A = refined.matrix
+            floored.update(refined.degenerate_rows)  # already train-set rows
 
         dml_losses, distill_losses = [], []
         for _ in range(batches_per_epoch):
             idx = sample_batch(train_set, cfg.batch_size, rng)
             block = None if global_A is None else global_A.submatrix(idx)
-            dml_loss, distill_loss, grads, spent = batch_step_gradients(
+            dml_loss, distill_loss, grads, spent, batch_floored = batch_step_gradients(
                 student, teacher, train_set.inputs[idx], train_set.labels[idx], cfg, weight, block
             )
             diffusion_seconds += spent
+            floored.update(idx[list(batch_floored)].tolist())
             student = sgd_step(student, grads, cfg.learning_rate)
             dml_losses.append(dml_loss)
             distill_losses.append(distill_loss)
 
         teacher = clone_params(student)
+        if floored:
+            degenerate_rows[epoch] = tuple(sorted(floored))
 
         test_embeds = embed_dataset(student, test_set)
         report = evaluate_batch(
@@ -410,4 +412,5 @@ def train(
         diffusion_seconds=diffusion_seconds,
         final_train=train_embeds,  # the last epoch's embeddings of the final student
         final_test=test_embeds,
+        degenerate_rows=degenerate_rows,
     )

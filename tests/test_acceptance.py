@@ -7,7 +7,6 @@ are reproducible.
 """
 
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +23,6 @@ from diffdistill.diffusion import (
 )
 from diffdistill.distill import psd_grad, psd_loss, row_softmax
 from diffdistill.embeddings import EmbeddingBatch, cosine_similarity_matrix, normalize_rows
-from diffdistill.errors import DegenerateGraphWarning
 from diffdistill.metrics import embedding_density, nmi, recall_at_k, spectral_decay
 from diffdistill.training import train, zero_shot_task
 from epoch_timing import epoch_diffusion_seconds
@@ -49,12 +47,10 @@ def run_task(mode: str, seed: int, flip: float = 0.0, scope: str = "batch"):
 def clean_runs():
     """Baseline / PSD / OBD-SD runs on the noise-free task (criteria 6, 7, 8, 9)."""
     started = time.perf_counter()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateGraphWarning)
-        runs = {
-            mode: [run_task(mode, seed) for seed in SEEDS]
-            for mode in ("none", "psd", "obdsd")
-        }
+    runs = {
+        mode: [run_task(mode, seed) for seed in SEEDS]
+        for mode in ("none", "psd", "obdsd")
+    }
     runs["elapsed"] = time.perf_counter() - started
     return runs
 
@@ -63,13 +59,11 @@ def clean_runs():
 def noisy_runs(clean_runs):
     """Baseline and OBD-SD at symmetric flip ratios 0.2 and 0.4 (criterion 8)."""
     started = time.perf_counter()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateGraphWarning)
-        runs = {
-            (mode, flip): [run_task(mode, seed, flip=flip) for seed in SEEDS]
-            for mode in ("none", "obdsd")
-            for flip in (0.2, 0.4)
-        }
+    runs = {
+        (mode, flip): [run_task(mode, seed, flip=flip) for seed in SEEDS]
+        for mode in ("none", "obdsd")
+        for flip in (0.2, 0.4)
+    }
     runs["elapsed"] = time.perf_counter() - started
     return runs
 
@@ -77,9 +71,7 @@ def noisy_runs(clean_runs):
 @pytest.fixture(scope="module")
 def global_runs():
     """OBD-SD with per-epoch offline global mutual-kNN diffusion (criterion 9)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateGraphWarning)
-        return [run_task("obdsd", seed, scope="global") for seed in SEEDS]
+    return [run_task("obdsd", seed, scope="global") for seed in SEEDS]
 
 
 def final_r1(result):
@@ -94,9 +86,7 @@ def test_criterion_1_solver_equivalence():
         n = int(rng.integers(4, 21))
         batch = EmbeddingBatch(normalize_rows(rng.standard_normal((n, 6))), np.zeros(n, dtype=np.int64))
         D = cosine_similarity_matrix(batch)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateGraphWarning)
-            S = transition_matrix(build_affinity_batch(cosine_similarity_matrix(batch), DiffusionParams()))
+        S = transition_matrix(build_affinity_batch(cosine_similarity_matrix(batch), DiffusionParams()))
         for omega in (0.1, 0.5, 0.9, 0.99):
             closed = diffuse_closed_form(S, D, omega)
             iterated = diffuse_iterative(
@@ -118,38 +108,36 @@ def test_criterion_2_fixed_point_is_objective_minimum():
     worst_grad_over_bound = 0.0
     minimality_ok = True
     step = 1e-5
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateGraphWarning)
-        for trial in range(20):
-            omega = float(rng.choice([0.2, 0.5, 0.8]))
-            while True:
-                n = int(rng.integers(4, 9))
-                batch = EmbeddingBatch(
-                    normalize_rows(rng.standard_normal((n, 5))), np.zeros(n, dtype=np.int64)
-                )
-                graph = build_affinity_batch(cosine_similarity_matrix(batch), DiffusionParams())
-                if not graph.degenerate_rows:
-                    break
-            D = cosine_similarity_matrix(batch)
-            A = diffuse_closed_form(transition_matrix(graph), D, omega)
+    for trial in range(20):
+        omega = float(rng.choice([0.2, 0.5, 0.8]))
+        while True:
+            n = int(rng.integers(4, 9))
+            batch = EmbeddingBatch(
+                normalize_rows(rng.standard_normal((n, 5))), np.zeros(n, dtype=np.int64)
+            )
+            graph = build_affinity_batch(cosine_similarity_matrix(batch), DiffusionParams())
+            if not graph.degenerate_rows:
+                break
+        D = cosine_similarity_matrix(batch)
+        A = diffuse_closed_form(transition_matrix(graph), D, omega)
 
-            def J(M):
-                return refinement_objective(M, graph.W, graph.degrees, D, omega)
+        def J(M):
+            return refinement_objective(M, graph.W, graph.degrees, D, omega)
 
-            max_grad = 0.0
-            for idx in np.ndindex(A.shape):
-                plus, minus = A.copy(), A.copy()
-                plus[idx] += step
-                minus[idx] -= step
-                max_grad = max(max_grad, abs(J(plus) - J(minus)) / (2 * step))
-            bound = 1e-6 * (1.0 + float(np.abs(D).max()))
-            worst_grad_over_bound = max(worst_grad_over_bound, max_grad / bound)
-            best = J(A)
-            minimality_ok &= best <= J(D) + 1e-12
-            for _ in range(10):
-                delta = rng.uniform(-1.0, 1.0, size=A.shape)
-                delta *= 0.01 / np.abs(delta).max()
-                minimality_ok &= best <= J(A + delta) + 1e-12
+        max_grad = 0.0
+        for idx in np.ndindex(A.shape):
+            plus, minus = A.copy(), A.copy()
+            plus[idx] += step
+            minus[idx] -= step
+            max_grad = max(max_grad, abs(J(plus) - J(minus)) / (2 * step))
+        bound = 1e-6 * (1.0 + float(np.abs(D).max()))
+        worst_grad_over_bound = max(worst_grad_over_bound, max_grad / bound)
+        best = J(A)
+        minimality_ok &= best <= J(D) + 1e-12
+        for _ in range(10):
+            delta = rng.uniform(-1.0, 1.0, size=A.shape)
+            delta *= 0.01 / np.abs(delta).max()
+            minimality_ok &= best <= J(A + delta) + 1e-12
     elapsed = time.perf_counter() - started
     report(
         2,

@@ -147,6 +147,25 @@ def test_train_artifacts_and_stdout_do_not_depend_on_cpu_count(tmp_path, monkeyp
         assert mask.sub(b"", one) == mask.sub(b"", two), name
 
 
+def test_train_and_sweep_report_floored_rows_once_per_seed(tmp_path, monkeypatch, capfd):
+    # a 4-NN global graph over 24 train rows: seeds 0 and 1 floor rows, seed 2 none
+    flooring = {"diffusion_scope": "global", "knn_k": 4, "seeds": "0,1,2"}
+    floored = [(0, [1, 2], [7]), (1, [2], [12, 20])]  # (seed, epochs, train rows)
+    for command, where in ((("train",), {}), (("sweep", "omega", "0.5"), {"value": 0.5})):
+        (tmp_path / command[0]).mkdir()
+        runs = [
+            run_on_cpus(tmp_path / command[0], monkeypatch, capfd, cpus, command, **flooring)
+            for cpus in (1, 2)
+        ]
+        (code1, io1, _), (code2, io2, _) = runs
+        assert code1 == code2 == 0
+        assert io1.out == io2.out and io1.err == io2.err
+        assert io1.err.splitlines() == [
+            json.dumps({"warning": "DegenerateGraph", **where, "seed": seed, "epochs": epochs, "rows": rows})
+            for seed, epochs, rows in floored
+        ]
+
+
 def test_train_worker_numerical_failure_exit_3_one_json_line(tmp_path, monkeypatch, capfd):
     failing = {"diffusion_mode": "iterative", "max_iter": 1}
     runs = [run_on_cpus(tmp_path, monkeypatch, capfd, cpus, **failing) for cpus in (1, 2)]
@@ -603,9 +622,10 @@ def test_gradcheck_passes_and_reproducible(tmp_path, capsys):
     assert first == second
 
 
-def test_gradcheck_corrupted_gradient_fails(tmp_path):
-    code = main(["gradcheck", "--trials", "2", "--seed", "5", "--corrupt",
-                 "--out-dir", str(tmp_path)])
+def test_gradcheck_corrupted_gradient_fails(tmp_path, monkeypatch):
+    real_psd_grad = cli.psd_grad
+    monkeypatch.setattr(cli, "psd_grad", lambda *args: real_psd_grad(*args) + 1e-3)
+    code = main(["gradcheck", "--trials", "2", "--seed", "5", "--out-dir", str(tmp_path)])
     assert code == 3
     failures = list(tmp_path.glob("gradcheck_failure_*.json"))
     assert failures

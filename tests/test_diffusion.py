@@ -1,5 +1,4 @@
 import tracemalloc
-import warnings
 from unittest import mock
 
 import numpy as np
@@ -25,7 +24,7 @@ from diffdistill.embeddings import (
     cosine_similarity_matrix,
     normalize_rows,
 )
-from diffdistill.errors import DegenerateGraph, DegenerateGraphWarning, NotConverged
+from diffdistill.errors import DegenerateGraph, NotConverged
 from epoch_timing import epoch_diffusion_seconds
 
 PARAMS = DiffusionParams()
@@ -59,8 +58,7 @@ def test_affinity_identical_pair():
 
 
 def test_affinity_orthogonal_pair_reports_degenerate_and_floors():
-    with pytest.warns(DegenerateGraphWarning):
-        graph = build_affinity_batch(cosine_similarity_matrix(np.eye(2)), PARAMS)
+    graph = build_affinity_batch(cosine_similarity_matrix(np.eye(2)), PARAMS)
     np.testing.assert_array_equal(graph.W, np.zeros((2, 2)))
     np.testing.assert_allclose(graph.degrees, [PARAMS.degree_epsilon] * 2)
     assert graph.degenerate_rows == (0, 1)
@@ -349,8 +347,7 @@ def global_cases(draw):
 def test_factored_global_closed_form_matches_dense_path(case):
     Z, k, omega, block = case
     expected, degenerate = dense_global_refine(Z, omega, k)
-    with warnings.catch_warnings(), mock.patch.object(embeddings, "RANKING_BLOCK_ROWS", block):
-        warnings.simplefilter("ignore", DegenerateGraphWarning)
+    with mock.patch.object(embeddings, "RANKING_BLOCK_ROWS", block):
         result = refine_global(Z, DiffusionParams(omega=omega), k)
     assert result.degenerate_rows == degenerate
     assert result.matrix.shape == expected.shape
@@ -369,10 +366,8 @@ def test_factored_global_iterative_is_within_tol_of_closed_form(case):
     """
     Z, k, omega, _ = case
     params = DiffusionParams(omega=omega, mode="iterative", tol=1e-10, max_iter=100_000)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateGraphWarning)
-        closed = refine_global(Z, DiffusionParams(omega=omega), k).matrix[:]
-        iterated = refine_global(Z, params, k)
+    closed = refine_global(Z, DiffusionParams(omega=omega), k).matrix[:]
+    iterated = refine_global(Z, params, k)
     assert iterated.converged and iterated.iterations > 0
     n, d = Z.shape
     bound = params.tol * omega / (1.0 - omega) * np.sqrt(n * d) + 1e-12
@@ -431,15 +426,11 @@ def test_objective_matches_triple_loop_oracle():
 def _nondegenerate_instance(rng, n, d):
     # Prop.-2 equivalence holds when degrees are true row sums (no flooring),
     # so stationarity is probed on graphs without degenerate rows.
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateGraphWarning)
-        while True:
-            batch = unit_batch(rng, n, d)
-            graph = build_affinity_batch(cosine_similarity_matrix(batch), PARAMS)
-            if not graph.degenerate_rows:
-                return batch, graph
+    while True:
+        batch = unit_batch(rng, n, d)
+        graph = build_affinity_batch(cosine_similarity_matrix(batch), PARAMS)
+        if not graph.degenerate_rows:
+            return batch, graph
 
 
 def test_objective_stationary_and_minimal_at_diffusion_output():

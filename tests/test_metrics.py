@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from diffdistill import metrics
 from diffdistill.embeddings import EmbeddingBatch, normalize_rows
 from diffdistill.errors import KTooLarge, RankDeficient, UndefinedDensity
 from diffdistill.metrics import (
@@ -391,6 +394,40 @@ def test_density_bitwise_equals_per_class_loop_oracle():
                     embedding_density(batch, distance=distance)
                 continue
             assert embedding_density(batch, distance=distance) == expected
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 300])
+def test_density_pair_blocks_bitwise_equal_the_oracle(monkeypatch, block):
+    # blocks end inside a class and inside a row's pairs alike; a row with more
+    # pairs than the block is a block of its own
+    monkeypatch.setattr(metrics, "DENSITY_BLOCK_PAIRS", block)
+    rng = np.random.default_rng(block)
+    for _ in range(40):
+        n = int(rng.integers(2, 60))
+        labels = rng.integers(0, int(rng.integers(2, 8)), size=n) * 3
+        batch = EmbeddingBatch(normalize_rows(rng.standard_normal((n, int(rng.integers(1, 9))))), labels)
+        for distance in (EUCLIDEAN, COSINE):
+            try:
+                expected = _density_oracle(batch, distance)
+            except UndefinedDensity:
+                continue
+            assert embedding_density(batch, distance=distance) == expected
+
+
+def test_density_scratch_is_bounded_per_pair():
+    # two classes of 1,000 rows, d = 16: 1,998,000 ordered same-class pairs.
+    # Gathering both rows of every pair peaked at ~546 B per pair (1.04 GB).
+    rng = np.random.default_rng(0)
+    batch = EmbeddingBatch(normalize_rows(rng.standard_normal((2000, 16))), np.repeat([0, 1], 1000))
+    pairs = 2 * 1000 * 999
+    tracemalloc.start()
+    try:
+        embedding_density(batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block_scratch = 1024 * metrics.DENSITY_BLOCK_PAIRS  # gathered rows and indices of one block
+    assert peak <= 24 * pairs + block_scratch, peak / pairs
 
 
 # ---------------------------------------------------------------------------

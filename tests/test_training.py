@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -304,7 +306,7 @@ def test_combined_gradient_matches_finite_differences():
     y = np.repeat(np.arange(4), 2)
     weight = 1.7
 
-    _, _, grads, _ = batch_step_gradients(params, teacher, X, y, cfg, weight)
+    _, _, grads, _, _ = batch_step_gradients(params, teacher, X, y, cfg, weight)
     analytic = flatten_params(type(params)(layers=tuple(grads)))
 
     teacher_target = cosine_similarity_matrix(normalize_rows(encoder_forward(teacher, X)[0]))
@@ -414,6 +416,31 @@ def test_global_scope_runs_and_times_diffusion():
     result = train(train_set, test_set, cfg, seed=0)
     assert result.diffusion_seconds > 0.0
     assert len(result.history) == 2
+    # epoch 0 has zero distillation weight, so only epoch 1 diffuses; train row 63 is floored
+    assert result.degenerate_rows == {1: (63,)}
+
+
+def test_batch_scope_reports_floored_rows_as_train_rows(monkeypatch):
+    sampled = []
+    real_sample_batch, real_refine = training.sample_batch, training.refine_similarity
+
+    def recorded_sample_batch(*args):
+        sampled.append(real_sample_batch(*args))
+        return sampled[-1]
+
+    def flooring_rows_0_and_3(D, params):
+        return replace(real_refine(D, params), degenerate_rows=(0, 3))
+
+    monkeypatch.setattr(training, "sample_batch", recorded_sample_batch)
+    monkeypatch.setattr(training, "refine_similarity", flooring_rows_0_and_3)
+    train_set, test_set = zero_shot_task(SPEC, 8)
+    cfg = small_config(epochs=3)
+    result = train(train_set, test_set, cfg, seed=0)
+    per_epoch = train_set.n // cfg.batch_size
+    assert list(result.degenerate_rows) == [1, 2]  # epoch 0 has zero distillation weight
+    for epoch, rows in result.degenerate_rows.items():
+        batches = sampled[epoch * per_epoch : (epoch + 1) * per_epoch]
+        assert rows == tuple(sorted({int(idx[r]) for idx in batches for r in (0, 3)}))
 
 
 def test_global_scope_honours_solver_settings():
