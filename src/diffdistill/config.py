@@ -13,7 +13,7 @@ import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
-from .diffusion import CLOSED_FORM, ITERATIVE, DiffusionParams
+from .diffusion import DiffusionParams
 from .metrics import COSINE, EUCLIDEAN
 from .training import (
     DISTILL_NONE,
@@ -60,11 +60,6 @@ _SCHEMA: dict[str, tuple] = {
     "label_flip_ratio": (float, 0.0, lambda v: 0 <= v <= 0.5 or "must lie in [0, 0.5]"),
     "data_seed": (int, 7, None),
     "omega": (float, 0.5, lambda v: 0 < v < 1 or "must lie in (0, 1)"),
-    "diffusion_mode": (
-        _identity,
-        CLOSED_FORM,
-        lambda v: v in (CLOSED_FORM, ITERATIVE) or f"must be {CLOSED_FORM} or {ITERATIVE}",
-    ),
     "max_iter": (int, 500, lambda v: v >= 1 or "must be >= 1"),
     "tol": (float, 1e-10, lambda v: v > 0 or "must be positive"),
     "degree_epsilon": (float, 1e-8, lambda v: v > 0 or "must be positive"),
@@ -161,7 +156,6 @@ class RunConfig:
         v = self.values
         return DiffusionParams(
             omega=v["omega"],
-            mode=v["diffusion_mode"],
             max_iter=v["max_iter"],
             tol=v["tol"],
             degree_epsilon=v["degree_epsilon"],

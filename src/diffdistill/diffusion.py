@@ -8,7 +8,8 @@ iteration F <- omega S F + (1 - omega) F0. The per-batch graph (full
 clamped-cosine affinity, `refine_similarity`) solves for F0 = D. The offline
 global graph (mutual-kNN sparsified affinity, `refine_global`) is stored as
 padded (n, k) neighbour lists and, since D = Z Z^T, solves for F0 = Z: the
-refined matrix is kept as its factors Y Z^T.
+refined matrix is kept as its factors Y Z^T. The graph picks the solver
+(`_diffuse`); no setting does.
 
 `refinement_objective` is the quadratic whose unique minimizer is the refined
 matrix: a graph-smoothness term that couples A_ji to A_ki with weight W_jk,
@@ -24,31 +25,21 @@ import numpy as np
 from .embeddings import FactoredSimilarity, top_neighbors
 from .errors import DegenerateGraph, NotConverged, SingularSystem
 
-CLOSED_FORM = "closed_form"
-ITERATIVE = "iterative"
-
-# The closed-form global solve assembles the one n x n array left, the system
-# I - omega S; with LAPACK's copy that is 16 B per n^2 entry. `refine_global`
-# peaked at 659 MB at n = 6,144 (~17 B per n^2 entry above the interpreter),
-# and `diffuse --mode global` at 108 MB at n = 2,000.
+# The dense solve assembles the one n x n array left, the system I - omega S;
+# with LAPACK's copy that is 16 B per n^2 entry. `refine_global` peaked at
+# 659 MB at n = 6,144 (~17 B per n^2 entry above the interpreter), and
+# `diffuse --mode global` at 108 MB at n = 2,000. Above it `_diffuse` iterates.
 MAX_DENSE_ROWS = 6144
-
-
-def check_dense_rows(n: int, params: DiffusionParams) -> None:
-    """Raise ValueError when a closed-form global diffusion over n rows exceeds MAX_DENSE_ROWS."""
-    if params.mode == CLOSED_FORM and n > MAX_DENSE_ROWS:
-        raise ValueError(
-            f"closed-form global diffusion is dense (n^2 memory): {n} rows exceed "
-            f"MAX_DENSE_ROWS={MAX_DENSE_ROWS}"
-        )
 
 
 @dataclass(frozen=True)
 class DiffusionParams:
-    """Random-walk settings. omega in (0,1) blends propagated vs. initial similarity."""
+    """Random-walk settings. omega in (0,1) blends propagated vs. initial similarity.
+
+    max_iter and tol bound the fixed-point iteration (`diffuse_iterative`).
+    """
 
     omega: float = 0.5
-    mode: str = CLOSED_FORM
     max_iter: int = 500
     tol: float = 1e-10
     degree_epsilon: float = 1e-8
@@ -56,8 +47,6 @@ class DiffusionParams:
     def __post_init__(self):
         if not 0.0 < self.omega < 1.0:
             raise ValueError(f"omega must lie in (0, 1), got {self.omega}")
-        if self.mode not in (CLOSED_FORM, ITERATIVE):
-            raise ValueError(f"unknown solver mode {self.mode!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
         if self.tol <= 0:
@@ -205,13 +194,17 @@ def diffuse_iterative(S, F0: np.ndarray, params: DiffusionParams) -> DiffusionRe
 
 
 def _diffuse(graph: AffinityGraph, F0: np.ndarray, params: DiffusionParams) -> DiffusionResult:
-    """Transition -> solve on `graph` for the columns of F0, using params.mode."""
+    """Transition -> solve on `graph` for the columns of F0; the graph picks the solver.
+
+    A dense graph, or a padded one of at most MAX_DENSE_ROWS rows, takes the
+    dense LU; a larger padded graph iterates on its neighbour lists, O(n k d)
+    per sweep with nothing n x n.
+    """
     S = transition_matrix(graph)
-    if params.mode == CLOSED_FORM:
-        result = DiffusionResult(diffuse_closed_form(S, F0, params.omega, graph.neighbors), 0, True)
+    if graph.neighbors is not None and S.shape[0] > MAX_DENSE_ROWS:
+        result = diffuse_iterative(padded_matvec(S, graph.neighbors), F0, params)
     else:
-        matvec = S if graph.neighbors is None else padded_matvec(S, graph.neighbors)
-        result = diffuse_iterative(matvec, F0, params)
+        result = DiffusionResult(diffuse_closed_form(S, F0, params.omega, graph.neighbors), 0, True)
     return replace(result, degenerate_rows=graph.degenerate_rows)
 
 
@@ -229,13 +222,11 @@ def refine_global(Z: np.ndarray, params: DiffusionParams, knn_k: int) -> Diffusi
     D = Z Z^T, so A = (1 - omega)(I - omega S)^{-1} D = Y Z^T with
     Y = (1 - omega)(I - omega S)^{-1} Z, which is only n x d: the result's
     matrix is FactoredSimilarity(Y, Z), and the graph is ranked from row
-    blocks of the clipped Z Z^T. Nothing n x n exists except, for the closed
-    form, the system I - omega S and LAPACK's copy of it (see
-    `check_dense_rows`). A NotConverged from the iterative mode carries the
-    iterate of Y.
+    blocks of the clipped Z Z^T. Nothing n x n exists except, up to
+    MAX_DENSE_ROWS rows, the system I - omega S and LAPACK's copy of it. Above
+    that the solve iterates, and a NotConverged carries the iterate of Y.
     """
     Z = np.asarray(Z, dtype=np.float64)
-    check_dense_rows(Z.shape[0], params)
     graph = build_affinity_knn(FactoredSimilarity(Z, Z, clip=True), knn_k, params)
     result = _diffuse(graph, Z, params)
     return replace(result, matrix=FactoredSimilarity(result.matrix, Z))

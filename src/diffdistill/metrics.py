@@ -22,7 +22,7 @@ from .errors import KTooLarge, RankDeficient, UndefinedDensity
 EUCLIDEAN = "euclidean"
 COSINE = "cosine"  # cosine distance, 1 - z_i . z_j
 
-DENSITY_BLOCK_PAIRS = 4096  # same-class pairs whose rows `embedding_density` gathers at once
+DENSITY_BLOCK_PAIRS = 4096  # ordered pairs whose rows `embedding_density` gathers at once
 
 
 @dataclass(frozen=True)
@@ -205,6 +205,27 @@ def _pair_distance(X: np.ndarray, Y: np.ndarray, distance: str) -> np.ndarray:
     raise ValueError(f"unknown distance {distance!r}")
 
 
+def _ordered_pair_distances(Zs: np.ndarray, sizes: np.ndarray, distance: str) -> np.ndarray:
+    """Distances of the ordered distinct same-class pairs of class-sorted rows `Zs`.
+
+    Classes hold `sizes` consecutive rows; pairs run class by class, in
+    row-major order within a class, gathered DENSITY_BLOCK_PAIRS at a time.
+    """
+    partners = np.repeat(sizes - 1, sizes)  # per row: its class's other rows
+    class_start = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    offsets = np.concatenate(([0], np.cumsum(partners)))  # each row's first pair
+    pair_distances = np.empty(offsets[-1])
+    a = 0
+    while a < Zs.shape[0]:
+        b = max(a + 1, int(np.searchsorted(offsets, offsets[a] + DENSITY_BLOCK_PAIRS, "right")) - 1)
+        pi = np.repeat(np.arange(a, b), partners[a:b])
+        pj = class_start[pi] + np.arange(pi.size) - (offsets[pi] - offsets[a])
+        pj += pj >= pi  # skip the row itself
+        pair_distances[offsets[a] : offsets[b]] = _pair_distance(Zs[pi], Zs[pj], distance)
+        a = b
+    return pair_distances
+
+
 def embedding_density(
     batch: EmbeddingBatch, distance: str = EUCLIDEAN
 ) -> tuple[float, float, float]:
@@ -217,28 +238,11 @@ def embedding_density(
         raise UndefinedDensity("need at least 2 classes")
     Z = batch.vectors
     means = np.stack([Z[labels == c].mean(axis=0) for c in classes])
-    ii, jj = np.meshgrid(np.arange(classes.size), np.arange(classes.size), indexing="ij")
-    off = ii != jj
-    inter = float(np.mean(_pair_distance(means[ii[off]], means[jj[off]], distance)))
-
-    # ordered same-class pairs, class by class, in row-major order within a class
-    order = np.argsort(labels, kind="stable")
-    Zs = Z[order]
-    partners = np.repeat(sizes - 1, sizes)  # per sorted row: its class's other rows
-    class_start = np.repeat(np.cumsum(sizes) - sizes, sizes)
-    offsets = np.concatenate(([0], np.cumsum(partners)))  # each row's first pair
-    if not offsets[-1]:
+    inter = float(np.mean(_ordered_pair_distances(means, np.array([classes.size]), distance)))
+    intra_distances = _ordered_pair_distances(Z[np.argsort(labels, kind="stable")], sizes, distance)
+    if not intra_distances.size:
         raise UndefinedDensity("need at least one class with >= 2 samples")
-    pair_distances = np.empty(offsets[-1])
-    a = 0
-    while a < Zs.shape[0]:
-        b = max(a + 1, int(np.searchsorted(offsets, offsets[a] + DENSITY_BLOCK_PAIRS, "right")) - 1)
-        pi = np.repeat(np.arange(a, b), partners[a:b])
-        pj = class_start[pi] + np.arange(pi.size) - (offsets[pi] - offsets[a])
-        pj += pj >= pi  # skip the row itself
-        pair_distances[offsets[a] : offsets[b]] = _pair_distance(Zs[pi], Zs[pj], distance)
-        a = b
-    intra = float(np.mean(pair_distances))
+    intra = float(np.mean(intra_distances))
     if inter == 0.0:
         raise UndefinedDensity("all class means coincide; inter-class distance is zero")
     return intra, inter, intra / inter

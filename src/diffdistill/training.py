@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffusion import DiffusionParams, check_dense_rows, refine_global, refine_similarity
+from .diffusion import DiffusionParams, refine_global, refine_similarity
 from .distill import dynamic_weight, psd_grad, psd_loss, row_softmax
 from .embeddings import EmbeddingBatch, cosine_similarity_matrix, normalize_rows, pair_grad_to_raw
 from .errors import InsufficientClasses, NoValidPairs
@@ -336,8 +336,6 @@ def train(
     seed: int,
 ) -> TrainResult:
     """Run the full loop; deterministic given (datasets, cfg, seed)."""
-    if cfg.distill_mode == DISTILL_OBDSD and cfg.diffusion_scope == SCOPE_GLOBAL:
-        check_dense_rows(train_set.n, cfg.diffusion)  # fail before the first epoch
     rng = np.random.default_rng(seed)
     input_dim = train_set.inputs.shape[1]
     student = init_encoder(rng, input_dim, cfg.hidden_dim, cfg.embed_dim)

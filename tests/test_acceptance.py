@@ -26,6 +26,7 @@ from diffdistill.embeddings import EmbeddingBatch, cosine_similarity_matrix, nor
 from diffdistill.metrics import embedding_density, nmi, recall_at_k, spectral_decay
 from diffdistill.training import train, zero_shot_task
 from epoch_timing import epoch_diffusion_seconds
+from helpers import fd_gradient
 
 CONFIG = parse_config_text(default_config_text())
 SEEDS = (0, 1, 2, 3, 4)
@@ -124,12 +125,7 @@ def test_criterion_2_fixed_point_is_objective_minimum():
         def J(M):
             return refinement_objective(M, graph.W, graph.degrees, D, omega)
 
-        max_grad = 0.0
-        for idx in np.ndindex(A.shape):
-            plus, minus = A.copy(), A.copy()
-            plus[idx] += step
-            minus[idx] -= step
-            max_grad = max(max_grad, abs(J(plus) - J(minus)) / (2 * step))
+        max_grad = np.abs(fd_gradient(J, A, step)).max()
         bound = 1e-6 * (1.0 + float(np.abs(D).max()))
         worst_grad_over_bound = max(worst_grad_over_bound, max_grad / bound)
         best = J(A)
@@ -159,15 +155,9 @@ def test_criterion_3_analytic_gradient_and_gradcheck(tmp_path):
         V = rng.standard_normal((n, d)) * float(rng.uniform(0.5, 2.0))
         target = rng.standard_normal((n, n))
         analytic = psd_grad(V, row_softmax(target, tau), tau)
-        fd = np.zeros_like(V)
-        for idx in np.ndindex(V.shape):
-            plus, minus = V.copy(), V.copy()
-            plus[idx] += step
-            minus[idx] -= step
-            fd[idx] = (
-                psd_loss(target, cosine_similarity_matrix(normalize_rows(plus)), tau)
-                - psd_loss(target, cosine_similarity_matrix(normalize_rows(minus)), tau)
-            ) / (2 * step)
+        fd = fd_gradient(
+            lambda W: psd_loss(target, cosine_similarity_matrix(normalize_rows(W)), tau), V, step
+        )
         worst = max(worst, float(np.abs(analytic - fd).max() / (np.abs(fd).max() + 1e-12)))
     exit_code = main(["gradcheck", "--trials", "50", "--seed", "0", "--out-dir", str(tmp_path)])
     elapsed = time.perf_counter() - started

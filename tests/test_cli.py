@@ -12,14 +12,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from diffdistill import cli, embeddings, io, training
+from diffdistill import cli, diffusion, embeddings, io, training
 from diffdistill.cli import main
 from diffdistill.config import default_config_text
-from diffdistill.diffusion import MAX_DENSE_ROWS
+from diffdistill.diffusion import DiffusionParams
 from diffdistill.embeddings import EmbeddingBatch, normalize_rows
 from diffdistill.io import EmbeddingTable, read_embeddings_csv, write_embeddings_csv
 from diffdistill.metrics import evaluate_batch
 from helpers import read_json, read_similarity_csv, write_embeddings_binary
+
+
+SMALL_TRAIN_ROWS = 4 * 6  # num_train_classes * samples_per_class of config_text
 
 
 def config_text(**overrides):
@@ -96,11 +99,11 @@ def test_train_writes_all_artifacts(tmp_path):
 # sha256 of each artifact of `train <default config> --seed 0 --out-dir out`, with
 # every `"diffusion_seconds": <value>` cut out; pins the bytes across refactors
 GOLDEN_DEFAULT_TRAIN = {
-    "embeddings_test_seed0.csv": "3377f32e4b23dbe094c34ba13b75e7df18d092479f09365ca1f97ca1a7d2d20c",
-    "embeddings_train_seed0.csv": "9400f34524071ae68f6000934c64223817aa6df9b7986f84e6a3ecc3d4cef511",
-    "history_seed0.csv": "dc3152d8903bcac94366c98ea98967ed831c47cb11275dbe061f3aacd5d675a0",
-    "run_seed0.json": "1bd64f903546266596f4418d1fb5e820c64714a1b56e60feb39693c86be0311c",
-    "summary.json": "62fe7498df446f85308e14f7e3bbf636a7481f846df933402b33181964cea8d7",
+    "embeddings_test_seed0.csv": "927f3748b429b0dafb26de3dcf64b26899327e568c6f83b060ed1efd6fc3f8ad",
+    "embeddings_train_seed0.csv": "2794e6301bc90a41590dd58c281a7dfe095609d3fd9a18476aea402f7effe92c",
+    "history_seed0.csv": "de88d7c9fe704a8cd2a4328129fe04c77d154b059d37d56b3f60da1b4d63bd66",
+    "run_seed0.json": "f57b66ad58c2aab326a9861af3fc938724596583cecf2c7d1bfa7fc256fbad0d",
+    "summary.json": "1d045a66b263ff007e63edf73c65a994a1b47e8491f68ef246c8ee7d532d3af7",
 }
 
 
@@ -167,7 +170,9 @@ def test_train_and_sweep_report_floored_rows_once_per_seed(tmp_path, monkeypatch
 
 
 def test_train_worker_numerical_failure_exit_3_one_json_line(tmp_path, monkeypatch, capfd):
-    failing = {"diffusion_mode": "iterative", "max_iter": 1}
+    # above the dense bound the global solve iterates, and one sweep is too few
+    above_dense_bound(monkeypatch, SMALL_TRAIN_ROWS)
+    failing = {"diffusion_scope": "global", "max_iter": 1}
     runs = [run_on_cpus(tmp_path, monkeypatch, capfd, cpus, **failing) for cpus in (1, 2)]
     for code, captured, _ in runs:
         assert code == 3
@@ -176,6 +181,15 @@ def test_train_worker_numerical_failure_exit_3_one_json_line(tmp_path, monkeypat
         assert json.loads(lines[0])["error"] == "NotConverged"
     listings = [sorted(p.name for p in out.iterdir()) if out.exists() else [] for _, _, out in runs]
     assert listings[0] == listings[1]
+
+
+def test_train_config_naming_diffusion_mode_exit_2(tmp_path, capsys):
+    # no setting chooses the diffusion solver: a config naming one is refused
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config_text(out_dir=str(tmp_path / "out")) + "diffusion_mode = closed_form\n")
+    assert main(["train", str(cfg)]) == 2
+    assert "unknown config field 'diffusion_mode'" in json.loads(capsys.readouterr().err)["message"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_zero_lambda_history_matches_baseline_preset(tmp_path):
@@ -382,30 +396,42 @@ def test_diffuse_bad_omega_exit_2(tmp_path):
 
 
 def refuse_dense(*args):
-    raise AssertionError("n^2 similarity built before the scale guard")
+    raise AssertionError("n x n array built above the dense bound")
 
 
-def test_diffuse_global_above_dense_bound_exit_2(tmp_path, monkeypatch, capsys):
-    n = MAX_DENSE_ROWS + 1
+def above_dense_bound(monkeypatch, n):
+    """Put n rows above diffusion.MAX_DENSE_ROWS, and refuse the dense solve."""
+    monkeypatch.setattr(diffusion, "MAX_DENSE_ROWS", n - 1)
+    monkeypatch.setattr(diffusion, "diffuse_closed_form", refuse_dense)
+
+
+def test_diffuse_global_above_dense_bound_iterates(tmp_path, monkeypatch):
+    n, d, omega = 60, 2, 0.5
     angles = np.linspace(0.0, 6.0, n)
     write_table(tmp_path / "emb.csv", np.column_stack([np.cos(angles), np.sin(angles)]), np.zeros(n, dtype=int))
+    args = ["diffuse", str(tmp_path / "emb.csv"), "--omega", str(omega), "--mode", "global", "--knn-k", "4"]
+    assert main([*args, "--out-dir", str(tmp_path / "dense")]) == 0
     monkeypatch.setattr(cli, "cosine_similarity_matrix", refuse_dense)
-    assert main(["diffuse", str(tmp_path / "emb.csv"), "--omega", "0.5", "--mode", "global",
-                 "--out-dir", str(tmp_path / "out")]) == 2
-    assert "MAX_DENSE_ROWS" in json.loads(capsys.readouterr().err)["message"]
-    assert not (tmp_path / "out").exists()
+    above_dense_bound(monkeypatch, n)
+    assert main([*args, "--out-dir", str(tmp_path / "out")]) == 0
+    dense = read_similarity_csv(tmp_path / "dense" / "refined_similarity.csv")
+    iterated = read_similarity_csv(tmp_path / "out" / "refined_similarity.csv")
+    assert dense.keys() == iterated.keys() and len(dense) == n * n
+    tol = DiffusionParams().tol  # diffuse runs the default solver settings
+    bound = tol * omega / (1.0 - omega) * np.sqrt(n * d) + 1e-12
+    assert max(abs(iterated[key] - dense[key]) for key in dense) <= bound
 
 
-def test_train_global_scope_above_dense_bound_exit_2(tmp_path, monkeypatch, capsys):
+def test_train_global_scope_above_dense_bound_iterates(tmp_path, monkeypatch):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(config_text(
-        num_train_classes=2, num_test_classes=2, samples_per_class=MAX_DENSE_ROWS // 2 + 1,
-        input_dim=2, diffusion_scope="global", out_dir=str(tmp_path / "out"),
-    ))
-    monkeypatch.setattr(training, "cosine_similarity_matrix", refuse_dense)
-    assert main(["train", str(cfg)]) == 2
-    assert "MAX_DENSE_ROWS" in json.loads(capsys.readouterr().err)["message"]
-    assert not (tmp_path / "out").exists()
+    cfg.write_text(config_text(diffusion_scope="global", seeds="0", out_dir=str(tmp_path / "out")))
+    n = SMALL_TRAIN_ROWS
+    real = training.cosine_similarity_matrix
+    monkeypatch.setattr(training, "cosine_similarity_matrix", lambda z: refuse_dense() if len(z) >= n else real(z))
+    above_dense_bound(monkeypatch, n)
+    assert main(["train", str(cfg)]) == 0
+    run = read_json(tmp_path / "out" / "run_seed0.json")
+    assert len(run["history"]) == 3 and run["final"]["diffusion_seconds"] > 0.0  # epochs 1 and 2 diffused
 
 
 @pytest.mark.parametrize("epsilon", ["0", "-1e-8", "nan"])

@@ -1,8 +1,14 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffdistill.config import (
+    _SCHEMA,
     ConfigError,
     DEFAULTS,
+    RunConfig,
+    _canonical_value,
+    _check_value,
     default_config_text,
     load_config,
     parse_config_text,
@@ -79,3 +85,60 @@ def test_derived_objects(tmp_path):
     assert trainer.diffusion.omega == DEFAULTS["omega"]
     baseline = config.with_overrides(distill_mode="none").trainer_config()
     assert baseline.distill_mode == "none"
+
+
+def _positive_floats():
+    return st.floats(min_value=0.0, exclude_min=True, allow_nan=False)
+
+
+def _nonnegative_floats():
+    return st.floats(min_value=0.0, allow_nan=False)
+
+
+# one strategy of schema-valid values per config key
+_VALID = {
+    "num_train_classes": st.integers(2, 10**6),
+    "num_test_classes": st.integers(2, 10**6),
+    "samples_per_class": st.integers(2, 10**6),
+    "input_dim": st.integers(1, 10**6),
+    "cluster_spread": _nonnegative_floats(),
+    "label_flip_ratio": st.floats(0.0, 0.5),
+    "data_seed": st.integers(-(10**12), 10**12),
+    "omega": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    "max_iter": st.integers(1, 10**9),
+    "tol": _positive_floats(),
+    "degree_epsilon": _positive_floats(),
+    "knn_k": st.integers(1, 10**6),
+    "distill_mode": st.sampled_from(["none", "psd", "obdsd"]),
+    "tau": _positive_floats(),
+    "lambda": _nonnegative_floats(),
+    "dynamic_weight": st.booleans(),
+    "diffusion_scope": st.sampled_from(["batch", "global"]),
+    "epochs": st.integers(1, 10**6),
+    "batch_size": st.integers(1, 10**6).map(lambda v: 2 * v),
+    "hidden_dim": st.integers(0, 10**6),
+    "embed_dim": st.integers(1, 10**6),
+    "learning_rate": _nonnegative_floats(),
+    "margin": st.floats(allow_nan=False),
+    "recall_ks": st.lists(st.integers(1, 10**6), min_size=1, max_size=6).map(tuple),
+    "kmeans_restarts": st.integers(1, 10**6),
+    "density_distance": st.sampled_from(["euclidean", "cosine"]),
+    "seeds": st.lists(st.integers(-(10**12), 10**12), min_size=1, max_size=6).map(tuple),
+    # no line breaks, surrounding whitespace or control characters
+    "out_dir": st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zs", "Zl", "Zp")), max_size=30),
+}
+
+
+def test_every_config_key_has_a_round_trip_strategy():
+    assert _VALID.keys() == _SCHEMA.keys()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fixed_dictionaries(_VALID))
+def test_canonical_config_text_round_trips(values):
+    for key, value in values.items():
+        _check_value(key, value, "")
+    text = "\n".join(f"{key} = {_canonical_value(value)}" for key, value in values.items())
+    config = parse_config_text(text)
+    assert config.values == values
+    assert config.config_hash() == RunConfig(values=values).config_hash()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffdistill import embeddings
+from diffdistill import diffusion, embeddings
 
 from diffdistill.diffusion import (
     DiffusionParams,
@@ -26,6 +26,7 @@ from diffdistill.embeddings import (
 )
 from diffdistill.errors import DegenerateGraph, NotConverged
 from epoch_timing import epoch_diffusion_seconds
+from helpers import fd_gradient
 
 PARAMS = DiffusionParams()
 
@@ -254,10 +255,9 @@ def test_refine_similarity_solver_modes_agree():
     rng = np.random.default_rng(18)
     batch = unit_batch(rng, 8, 4)
     D = cosine_similarity_matrix(batch)
-    closed = refine_similarity(D, DiffusionParams(omega=0.6, mode="closed_form"))
-    iterated = refine_similarity(
-        D, DiffusionParams(omega=0.6, mode="iterative", tol=1e-12, max_iter=20000)
-    )
+    closed = refine_similarity(D, DiffusionParams(omega=0.6))
+    S = transition_matrix(build_affinity_batch(D, PARAMS))
+    iterated = diffuse_iterative(S, D, DiffusionParams(omega=0.6, tol=1e-12, max_iter=20000))
     assert (closed.iterations, closed.converged) == (0, True)
     assert iterated.converged and iterated.iterations > 0
     assert np.abs(closed.matrix - iterated.matrix).max() < 1e-8
@@ -365,13 +365,36 @@ def test_factored_global_iterative_is_within_tol_of_closed_form(case):
     sqrt(d) times that.
     """
     Z, k, omega, _ = case
-    params = DiffusionParams(omega=omega, mode="iterative", tol=1e-10, max_iter=100_000)
-    closed = refine_global(Z, DiffusionParams(omega=omega), k).matrix[:]
-    iterated = refine_global(Z, params, k)
-    assert iterated.converged and iterated.iterations > 0
     n, d = Z.shape
+    params = DiffusionParams(omega=omega, tol=1e-10, max_iter=100_000)
+    closed = refine_global(Z, params, k).matrix[:]
+    with mock.patch.object(diffusion, "MAX_DENSE_ROWS", n - 1), mock.patch.object(
+        diffusion, "diffuse_closed_form", refuse_dense_solve
+    ):
+        iterated = refine_global(Z, params, k)
+    assert iterated.converged and iterated.iterations > 0
     bound = params.tol * omega / (1.0 - omega) * np.sqrt(n * d) + 1e-12
     assert np.abs(iterated.matrix[:] - closed).max() <= bound
+
+
+def refuse_dense_solve(*args):
+    raise AssertionError("n x n system assembled above the dense bound")
+
+
+def test_global_scope_above_the_real_dense_bound_stays_off_n_squared(monkeypatch):
+    # unit rows on an arc, k = 4: the closed form would need 16 B per n^2 entry
+    n = diffusion.MAX_DENSE_ROWS + 1
+    angles = np.linspace(0.0, 6.0, n)
+    Z = np.column_stack([np.cos(angles), np.sin(angles)])
+    monkeypatch.setattr(diffusion, "diffuse_closed_form", refuse_dense_solve)
+    tracemalloc.start()
+    try:
+        result = refine_global(Z, DiffusionParams(omega=0.5), 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.converged and result.iterations > 0
+    assert peak <= 0.25 * 8 * n * n, peak / (8 * n * n)
 
 
 def test_global_closed_form_peak_numpy_memory_is_the_system_alone():
@@ -447,12 +470,7 @@ def test_objective_stationary_and_minimal_at_diffusion_output():
         def J(M):
             return refinement_objective(M, graph.W, graph.degrees, D, omega)
 
-        max_grad = 0.0
-        for idx in np.ndindex(A.shape):
-            plus, minus = A.copy(), A.copy()
-            plus[idx] += step
-            minus[idx] -= step
-            max_grad = max(max_grad, abs(J(plus) - J(minus)) / (2 * step))
+        max_grad = np.abs(fd_gradient(J, A, step)).max()
         assert max_grad <= 1e-6 * (1.0 + np.abs(D).max())
 
         best = J(A)

@@ -4,6 +4,7 @@ import pytest
 from diffdistill.diffusion import DiffusionParams, build_affinity_batch, diffuse_closed_form, transition_matrix
 from diffdistill.distill import dynamic_weight, psd_grad, psd_loss, row_softmax
 from diffdistill.embeddings import EmbeddingBatch, cosine_similarity_matrix, normalize_rows
+from helpers import fd_gradient
 
 
 def pair_attention_factor(zi, zj) -> float:
@@ -13,16 +14,6 @@ def pair_attention_factor(zi, zj) -> float:
     hard pairs dominate the per-pair gradient magnitude |P_ij - T_ij|.
     """
     return float(np.linalg.norm(zj - float(zi @ zj) * zi))
-
-
-def fd_gradient(f, V, step=1e-6):
-    grad = np.zeros_like(V)
-    for idx in np.ndindex(V.shape):
-        plus, minus = V.copy(), V.copy()
-        plus[idx] += step
-        minus[idx] -= step
-        grad[idx] = (f(plus) - f(minus)) / (2 * step)
-    return grad
 
 
 # ---------------------------------------------------------------------------

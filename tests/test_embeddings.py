@@ -11,6 +11,7 @@ from diffdistill.embeddings import (
     top_neighbors,
 )
 from diffdistill.errors import ZeroNormRow
+from helpers import fd_gradient
 
 
 def test_normalize_three_four_vector():
@@ -120,12 +121,7 @@ def test_jacobian_matches_finite_differences():
             U = W / np.linalg.norm(W, axis=1, keepdims=True)
             return float(np.sum(G * (U @ U.T)))
 
-        fd = np.zeros_like(V)
-        for idx in np.ndindex(V.shape):
-            plus, minus = V.copy(), V.copy()
-            plus[idx] += step
-            minus[idx] -= step
-            fd[idx] = (loss(plus) - loss(minus)) / (2 * step)
+        fd = fd_gradient(loss, V, step)
         rel = np.abs(analytic - fd).max() / (np.abs(fd).max() + 1e-12)
         assert rel < 1e-6
 

@@ -399,12 +399,14 @@ def test_density_bitwise_equals_per_class_loop_oracle():
 @pytest.mark.parametrize("block", [1, 2, 7, 300])
 def test_density_pair_blocks_bitwise_equal_the_oracle(monkeypatch, block):
     # blocks end inside a class and inside a row's pairs alike; a row with more
-    # pairs than the block is a block of its own
+    # pairs than the block is a block of its own. Up to 60 classes, the
+    # inter-class pairs of the class means span blocks as well.
     monkeypatch.setattr(metrics, "DENSITY_BLOCK_PAIRS", block)
     rng = np.random.default_rng(block)
-    for _ in range(40):
+    for case in range(80):
         n = int(rng.integers(2, 60))
-        labels = rng.integers(0, int(rng.integers(2, 8)), size=n) * 3
+        most = 8 if case % 2 else n + 1
+        labels = rng.integers(0, int(rng.integers(2, most)), size=n) * 3
         batch = EmbeddingBatch(normalize_rows(rng.standard_normal((n, int(rng.integers(1, 9))))), labels)
         for distance in (EUCLIDEAN, COSINE):
             try:
@@ -415,19 +417,23 @@ def test_density_pair_blocks_bitwise_equal_the_oracle(monkeypatch, block):
 
 
 def test_density_scratch_is_bounded_per_pair():
-    # two classes of 1,000 rows, d = 16: 1,998,000 ordered same-class pairs.
-    # Gathering both rows of every pair peaked at ~546 B per pair (1.04 GB).
+    # 2,000 rows, d = 16, in 2 classes of 1,000 rows (1,998,000 ordered
+    # same-class pairs) or in 1,000 classes of 2 rows (999,000 ordered pairs
+    # of class means). Gathering both rows of every pair peaked at ~546 B per
+    # pair: 1.04 GB and 545 MB.
     rng = np.random.default_rng(0)
-    batch = EmbeddingBatch(normalize_rows(rng.standard_normal((2000, 16))), np.repeat([0, 1], 1000))
-    pairs = 2 * 1000 * 999
-    tracemalloc.start()
-    try:
-        embedding_density(batch)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    vectors = normalize_rows(rng.standard_normal((2000, 16)))
     block_scratch = 1024 * metrics.DENSITY_BLOCK_PAIRS  # gathered rows and indices of one block
-    assert peak <= 24 * pairs + block_scratch, peak / pairs
+    for classes in (2, 1000):
+        rows = 2000 // classes
+        pairs = classes * rows * (rows - 1) + classes * (classes - 1)
+        tracemalloc.start()
+        try:
+            embedding_density(EmbeddingBatch(vectors, np.repeat(np.arange(classes), rows)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * pairs + block_scratch, (classes, peak / pairs)
 
 
 # ---------------------------------------------------------------------------

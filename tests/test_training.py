@@ -23,7 +23,7 @@ from diffdistill.training import (
     train,
     zero_shot_task,
 )
-from helpers import flatten_params, unflatten_params
+from helpers import fd_gradient, flatten_params, unflatten_params
 
 SPEC = SyntheticDatasetSpec(
     num_classes=16, samples_per_class=12, input_dim=16, cluster_spread=0.35, seed=7
@@ -208,15 +208,7 @@ def test_baseline_grad_matches_finite_differences():
         labels[-1] = 1  # and at least one negative pair
         margin = float(rng.uniform(0.2, 0.7))
         _, analytic = baseline_contrastive_loss_and_grad(V, labels, margin)
-        fd = np.zeros_like(V)
-        for idx in np.ndindex(V.shape):
-            plus, minus = V.copy(), V.copy()
-            plus[idx] += step
-            minus[idx] -= step
-            fd[idx] = (
-                baseline_contrastive_loss_and_grad(plus, labels, margin)[0]
-                - baseline_contrastive_loss_and_grad(minus, labels, margin)[0]
-            ) / (2 * step)
+        fd = fd_gradient(lambda W: baseline_contrastive_loss_and_grad(W, labels, margin)[0], V, step)
         rel = np.abs(analytic - fd).max() / (np.abs(fd).max() + 1e-12)
         assert rel < 1e-5
 
@@ -282,15 +274,11 @@ def test_encoder_backward_matches_finite_differences():
         flat_analytic = flatten_params(
             type(params)(layers=tuple(grads))
         )
-        theta = flatten_params(params)
-        fd = np.zeros_like(theta)
-        for i in range(theta.size):
-            plus, minus = theta.copy(), theta.copy()
-            plus[i] += step
-            minus[i] -= step
-            fp = float(np.sum(encoder_forward(unflatten_params(plus, params), X)[0] ** 2))
-            fm = float(np.sum(encoder_forward(unflatten_params(minus, params), X)[0] ** 2))
-            fd[i] = (fp - fm) / (2 * step)
+
+        def loss(theta):
+            return float(np.sum(encoder_forward(unflatten_params(theta, params), X)[0] ** 2))
+
+        fd = fd_gradient(loss, flatten_params(params), step)
         rel = np.abs(flat_analytic - fd).max() / (np.abs(fd).max() + 1e-12)
         assert rel < 1e-6
 
@@ -318,13 +306,7 @@ def test_combined_gradient_matches_finite_differences():
         student_D = cosine_similarity_matrix(normalize_rows(V))
         return dml + weight * psd_loss(teacher_target, student_D, cfg.tau)
 
-    theta0 = flatten_params(params)
-    fd = np.zeros_like(theta0)
-    for i in range(theta0.size):
-        plus, minus = theta0.copy(), theta0.copy()
-        plus[i] += step
-        minus[i] -= step
-        fd[i] = (scalar_loss(plus) - scalar_loss(minus)) / (2 * step)
+    fd = fd_gradient(scalar_loss, flatten_params(params), step)
     rel = np.abs(analytic - fd).max() / (np.abs(fd).max() + 1e-12)
     assert rel < 1e-4
 
@@ -443,20 +425,35 @@ def test_batch_scope_reports_floored_rows_as_train_rows(monkeypatch):
         assert rows == tuple(sorted({int(idx[r]) for idx in batches for r in (0, 3)}))
 
 
-def test_global_scope_honours_solver_settings():
+def test_global_scope_honours_solver_settings(monkeypatch):
+    # max_iter and tol bound the solve only above the dense bound, where it iterates
     train_set, test_set = zero_shot_task(SPEC, 8)
-    iterative = DiffusionParams(omega=0.5, mode="iterative", max_iter=1)
-    cfg = small_config(epochs=2, diffusion_scope="global", knn_k=10, diffusion=iterative)
+    capped = DiffusionParams(omega=0.5, max_iter=1)
+    cfg = small_config(epochs=2, diffusion_scope="global", knn_k=10, diffusion=capped)
+    assert len(train(train_set, test_set, cfg, seed=0).history) == 2
+    monkeypatch.setattr(diffusion, "MAX_DENSE_ROWS", train_set.n - 1)
     with pytest.raises(NotConverged):
         train(train_set, test_set, cfg, seed=0)
 
 
-def test_global_scope_row_guard_covers_only_the_closed_form(monkeypatch):
+def test_global_scope_above_dense_bound_iterates_on_the_padded_graph(monkeypatch):
     # the iterative solve works on the padded graph alone, with no n x n system
     train_set, test_set = zero_shot_task(SPEC, 8)
     monkeypatch.setattr(diffusion, "MAX_DENSE_ROWS", train_set.n - 1)
-    with pytest.raises(ValueError, match="MAX_DENSE_ROWS"):
-        train(train_set, test_set, small_config(epochs=2, diffusion_scope="global", knn_k=10), seed=0)
-    iterative = DiffusionParams(omega=0.5, mode="iterative")
-    cfg = small_config(epochs=2, diffusion_scope="global", knn_k=10, diffusion=iterative)
+
+    def refuse_dense_solve(*args):
+        raise AssertionError("n x n system assembled above the dense bound")
+
+    iterations = []
+
+    def recorded_iterative(*args):
+        result = real_iterative(*args)
+        iterations.append(result.iterations)
+        return result
+
+    real_iterative = diffusion.diffuse_iterative
+    monkeypatch.setattr(diffusion, "diffuse_closed_form", refuse_dense_solve)
+    monkeypatch.setattr(diffusion, "diffuse_iterative", recorded_iterative)
+    cfg = small_config(epochs=2, diffusion_scope="global", knn_k=10)
     assert len(train(train_set, test_set, cfg, seed=0).history) == 2
+    assert len(iterations) == 1 and iterations[0] > 1  # epoch 1 only: epoch 0 has zero weight
