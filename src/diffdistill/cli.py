@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +30,8 @@ from .errors import DiffDistillError, KTooLarge
 from .io import (
     EmbeddingTable,
     FormatError,
-    fork_map,
+    affinity_cpus,
+    fork_chains,
     read_embeddings_auto,
     write_csv_rows,
     write_embeddings_csv,
@@ -40,7 +40,7 @@ from .io import (
     write_similarity_csv,
 )
 from .metrics import evaluate_batch
-from .training import baseline_contrastive_loss_and_grad, train, zero_shot_task
+from .training import baseline_contrastive_loss_and_grad, join_segments, train, zero_shot_task
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -113,11 +113,36 @@ def _embedding_table(batch: EmbeddingBatch) -> EmbeddingTable:
     )
 
 
-def run_training(config: RunConfig, seed: int):
+def run_training(config: RunConfig, seed: int, stop: int | None = None, resume=None):
+    """Train `seed` from `resume` (a Checkpoint; the start without one) up to epoch `stop`."""
     train_set, test_set = zero_shot_task(
         config.dataset_spec(seed), config["num_train_classes"]
     )
-    return train(train_set, test_set, config.trainer_config(), seed=seed)
+    return train(train_set, test_set, config.trainer_config(), seed, stop, resume)
+
+
+def _train_seeds(config: RunConfig, seeds: list[int]):
+    """Yield each seed's TrainResult in seed order, training the seeds in forked workers.
+
+    With w = min(affinity CPUs, seeds) workers, each seed's epochs run as
+    min(w, epochs) contiguous segments, each resumed from the end of the one
+    before, so the seeds' segments share out the workers; one worker trains
+    every seed whole, in this process.
+    """
+    epochs = config["epochs"]
+    parts = min(affinity_cpus(), len(seeds), epochs)
+    stops = [epochs * (j + 1) // parts for j in range(parts)]
+
+    def run(task):
+        seed, part, resume = task
+        return run_training(config, seed, stops[part], resume)
+
+    def follow(task, result):
+        seed, part, _ = task
+        return (seed, part + 1, result.end) if part + 1 < parts else None
+
+    for segments in fork_chains(run, [(seed, 0, None) for seed in seeds], follow):
+        yield join_segments(segments)
 
 
 def _config_and_seeds(args) -> tuple[RunConfig, list[int]]:
@@ -155,7 +180,7 @@ def cmd_train(args) -> int:
 
     per_seed = {}
     # seeds train in forked workers; this process writes and prints, in seed order
-    for seed, result in zip(seeds, fork_map(partial(run_training, config), seeds)):
+    for seed, result in zip(seeds, _train_seeds(config, seeds)):
         history = [_epoch_record(rec) for rec in result.history]
         write_csv_rows(out_dir / f"history_seed{seed}.csv", _csv_rows(history), chash)
         for split, batch in (("train", result.final_train), ("test", result.final_test)):
@@ -437,7 +462,7 @@ def cmd_sweep(args) -> int:
     for value, value_config in zip(values, swept):
         finals, status = [], "ok"
         try:
-            for seed, result in zip(seeds, fork_map(partial(run_training, value_config), seeds)):
+            for seed, result in zip(seeds, _train_seeds(value_config, seeds)):
                 finals.append(_final_record(result))
                 _warn_floored_rows(result, value=value, seed=seed)
         except (DiffDistillError, ValueError, np.linalg.LinAlgError, FloatingPointError) as exc:

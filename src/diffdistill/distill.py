@@ -24,38 +24,48 @@ factors (1/n, 1/tau, 1/||v||).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .embeddings import cosine_similarity_matrix, normalize_rows, pair_grad_to_raw
+from .embeddings import pair_grad_to_raw, row_geometry
 
 
-def row_softmax(M, tau: float) -> np.ndarray:
-    """Row-stochastic softmax of M / tau with max-subtraction for stability."""
+@dataclass(frozen=True)
+class SoftRows:
+    """Row softmax of M / tau and its logarithm, from one max-shifted exponential."""
+
+    probs: np.ndarray
+    log_probs: np.ndarray
+
+
+def soften(M, tau: float) -> SoftRows:
+    """Softmax and log-softmax of the rows of M / tau, max-subtracted for stability."""
     if tau <= 0:
         raise ValueError("tau must be positive")
     scaled = np.asarray(M, dtype=np.float64) / tau
     scaled = scaled - scaled.max(axis=1, keepdims=True)
     expd = np.exp(scaled)
-    return expd / expd.sum(axis=1, keepdims=True)
+    total = expd.sum(axis=1, keepdims=True)
+    return SoftRows(expd / total, scaled - np.log(total))
 
 
-def _row_log_softmax(M, tau: float) -> np.ndarray:
-    scaled = np.asarray(M, dtype=np.float64) / tau
-    scaled = scaled - scaled.max(axis=1, keepdims=True)
-    return scaled - np.log(np.exp(scaled).sum(axis=1, keepdims=True))
+def row_softmax(M, tau: float) -> np.ndarray:
+    """Row-stochastic softmax of M / tau with max-subtraction for stability."""
+    return soften(M, tau).probs
 
 
 def psd_loss(target, student_D, tau: float) -> float:
-    """Batch-averaged KL between softened target rows and softened student rows."""
-    target = np.asarray(target, dtype=np.float64)
+    """Batch-averaged KL between softened target rows and softened student rows.
+
+    `target` is the teacher similarity matrix, or already `soften(target, tau)`.
+    """
+    T = target if isinstance(target, SoftRows) else soften(target, tau)
     student_D = np.asarray(student_D, dtype=np.float64)
-    if target.shape != student_D.shape:
-        raise ValueError(f"shape mismatch: target {target.shape} vs student {student_D.shape}")
-    n = target.shape[0]
-    T = row_softmax(target, tau)
-    log_T = _row_log_softmax(target, tau)
-    log_P = _row_log_softmax(student_D, tau)
-    return float(np.sum(T * (log_T - log_P)) / n)
+    if T.probs.shape != student_D.shape:
+        raise ValueError(f"shape mismatch: target {T.probs.shape} vs student {student_D.shape}")
+    n = student_D.shape[0]
+    return float(np.sum(T.probs * (T.log_probs - soften(student_D, tau).log_probs)) / n)
 
 
 def dynamic_weight(tau: float, weight: float, epoch: int, total_epochs: int, dynamic: bool = True) -> float:
@@ -67,16 +77,15 @@ def dynamic_weight(tau: float, weight: float, epoch: int, total_epochs: int, dyn
 def psd_grad(student_raw, target_soft, tau: float) -> np.ndarray:
     """Gradient of psd_loss w.r.t. the raw student embeddings.
 
+    `student_raw` is the raw embedding matrix or its `row_geometry`.
     `target_soft` must be the already-softened (row-stochastic) target, i.e.
-    row_softmax(target_matrix, tau) for the same tau; the teacher path carries
-    no gradient.
+    row_softmax(target_matrix, tau) for the same tau, or its SoftRows; the
+    teacher path carries no gradient.
     """
-    V = np.asarray(student_raw, dtype=np.float64)
-    T = np.asarray(target_soft, dtype=np.float64)
-    n = V.shape[0]
+    student = row_geometry(student_raw)
+    T = target_soft.probs if isinstance(target_soft, SoftRows) else np.asarray(target_soft, dtype=np.float64)
+    n = student.Z.shape[0]
     if T.shape != (n, n):
         raise ValueError(f"target_soft must be ({n}, {n}), got {T.shape}")
-    norms = np.linalg.norm(V, axis=1)
-    Z = normalize_rows(V)
-    P = row_softmax(cosine_similarity_matrix(Z), tau)
-    return pair_grad_to_raw((P - T) / (n * tau), Z, norms)
+    P = row_softmax(student.cosine, tau)
+    return pair_grad_to_raw((P - T) / (n * tau), student.Z, student.norms)

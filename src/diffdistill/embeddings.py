@@ -89,6 +89,35 @@ def cosine_similarity_matrix(batch: EmbeddingBatch | np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class RowGeometry:
+    """Raw rows' norms, unit rows Z, Z Z^T as computed, and its clipped copy.
+
+    `cosine` equals `cosine_similarity_matrix(Z)`; the contrastive loss reads
+    the unclipped `gram`.
+    """
+
+    norms: np.ndarray
+    Z: np.ndarray
+    gram: np.ndarray
+    cosine: np.ndarray
+
+
+def row_geometry(vectors) -> RowGeometry:
+    """Normalize raw rows and take their cosine matrix, once; a RowGeometry passes through.
+
+    Raises ZeroNormRow as `normalize_rows` does.
+    """
+    if isinstance(vectors, RowGeometry):
+        return vectors
+    vec = _as_matrix(vectors)
+    norms = np.linalg.norm(vec, axis=1)
+    _reject_zero_norms(norms, ZERO_NORM_EPS)
+    Z = vec / norms[:, None]
+    gram = Z @ Z.T
+    return RowGeometry(norms, Z, gram, np.clip(gram, -1.0, 1.0))
+
+
+@dataclass(frozen=True)
 class FactoredSimilarity:
     """The n x m matrix Y Z^T held as its factors Y (n x d) and Z (m x d).
 

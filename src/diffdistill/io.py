@@ -194,18 +194,18 @@ def _format_span(rows, span: tuple[int, int]) -> str:
     return "".join(map(_row_text, prefixes[start:stop], repeat(middles), matrix[start:stop].tolist()))
 
 
-def fork_map(fn, items):
-    """Yield fn(item) for every item, in order, on every CPU in the affinity mask.
+def affinity_cpus() -> int:
+    """The CPUs in this process's affinity mask (1 where the mask is not available)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
-    Runs min(len(items), affinity CPUs) workers forked from this process, or
-    builtin `map` when that is 1 or `fork` is unavailable. The workers inherit
-    `fn` through fork, so only items and results are pickled. At most
-    2 x workers items are in flight, so results waiting to be consumed stay
-    bounded.
+
+@contextmanager
+def _forked_pool(fn, workers: int):
+    """A pool of `workers` processes forked from this one, each holding `fn`; None when serial.
+
+    Serial means one worker or no `fork` start method. The workers inherit
+    `fn` through fork, so only items and results are pickled.
     """
-    items = list(items)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(len(items), cpus)
     if workers > 1:
         import multiprocessing
 
@@ -215,20 +215,78 @@ def fork_map(fn, items):
             context = multiprocessing.get_context("fork")
             pool = ProcessPoolExecutor(workers, context, _adopt, (fn, os.getpid()))
             try:
-                pending = deque()
-                for item in items:
-                    pending.append(pool.submit(_call_adopted, item))
-                    if len(pending) == 2 * workers:
-                        yield pending.popleft().result()
-                while pending:
-                    yield pending.popleft().result()
+                yield pool
             finally:
                 pool.shutdown(cancel_futures=True)
             return
-    yield from map(fn, items)
+    yield None
 
 
-_adopted_fn = None  # set only inside a `fork_map` worker, to the function its pool maps
+def fork_map(fn, items):
+    """Yield fn(item) for every item, in order, on every CPU in the affinity mask.
+
+    Runs min(len(items), affinity CPUs) forked workers, or builtin `map` when
+    that is 1 or `fork` is unavailable. At most 2 x workers items are in
+    flight, so results waiting to be consumed stay bounded.
+    """
+    items = list(items)
+    workers = min(len(items), affinity_cpus())
+    with _forked_pool(fn, workers) as pool:
+        if pool is None:
+            yield from map(fn, items)
+            return
+        pending = deque()
+        for item in items:
+            pending.append(pool.submit(_call_adopted, item))
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+
+def fork_chains(fn, firsts, follow):
+    """Yield [fn(first), fn(follow(first, out)), ...] per chain, in chain order.
+
+    A chain ends where `follow(item, fn(item))` returns None. Runs on
+    min(len(firsts), affinity CPUs) forked workers, or serially in this
+    process. Every chain's first item is submitted at once and each next item
+    when the one before it returns, so the links of different chains fill the
+    workers. A chain that raises raises here once every chain before it has
+    been yielded, as it would serially.
+    """
+    firsts = list(firsts)
+    with _forked_pool(fn, min(len(firsts), affinity_cpus())) as pool:
+        if pool is None:
+            for item in firsts:
+                outs = []
+                while item is not None:
+                    outs.append(fn(item))
+                    item = follow(item, outs[-1])
+                yield outs
+            return
+        from concurrent.futures import FIRST_COMPLETED, wait
+
+        outs, finished = [[] for _ in firsts], {}  # finished: chain -> its exception or None
+        running = {pool.submit(_call_adopted, item): (chain, item) for chain, item in enumerate(firsts)}
+        for head in range(len(firsts)):
+            while head not in finished:
+                for future in wait(running, return_when=FIRST_COMPLETED).done:
+                    chain, item = running.pop(future)
+                    error = future.exception()
+                    if error is None:
+                        outs[chain].append(future.result())
+                        item = follow(item, outs[chain][-1])
+                    if error is None and item is not None:
+                        running[pool.submit(_call_adopted, item)] = (chain, item)
+                    else:
+                        finished[chain] = error
+            if finished[head] is not None:
+                raise finished[head]
+            yield outs[head]
+            outs[head] = None
+
+
+_adopted_fn = None  # set only inside a forked pool worker, to the function its pool maps
 
 
 def _adopt(fn, parent: int) -> None:

@@ -96,8 +96,9 @@ def _nearest_centers(X: np.ndarray, xx: np.ndarray, centers: np.ndarray) -> np.n
 
 def _kmeans_restarts(
     X: np.ndarray, k: int, restarts: int, seed: int, max_iter: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """All restarts of Lloyd's k-means at once: assignments (R, n), inertias (R,).
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """All restarts of Lloyd's k-means at once: assignments (R, n), inertias (R,)
+    and how many restarts were still moving when max_iter stopped them.
 
     Each restart is bitwise the sequential algorithm: farthest-point seeding
     from a random first centre; then assign, stop once nothing moves, else
@@ -141,7 +142,7 @@ def _kmeans_restarts(
     if active.size:
         assign[active] = _nearest_centers(X, xx, centers[active])
     inertia = ((X - centers[np.arange(restarts)[:, None], assign]) ** 2).sum(-1).sum(axis=1)
-    return assign, inertia
+    return assign, inertia, int(active.size)
 
 
 def kmeans(
@@ -150,10 +151,13 @@ def kmeans(
     restarts: int = 10,
     seed: int = 0,
     max_iter: int = 300,
-) -> np.ndarray:
+) -> tuple[np.ndarray, int]:
     """Lloyd's k-means with farthest-point seeding; best inertia over restarts.
 
     The restarts run together; the first with the lowest finite inertia wins.
+    Returns its assignments and the number of restarts that max_iter stopped
+    while still moving (with fewer distinct rows than k, reseeded empty
+    clusters can keep emptying and refilling).
     """
     X = batch.vectors if isinstance(batch, EmbeddingBatch) else _as_matrix(batch)
     X = np.ascontiguousarray(X)  # numpy's summation order follows the memory layout
@@ -161,12 +165,12 @@ def kmeans(
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={X.shape[0]}")
     if restarts < 1:
         raise ValueError(f"k-means needs at least 1 restart, got {restarts}")
-    assign, inertia = _kmeans_restarts(X, k, restarts, seed, max_iter)
+    assign, inertia, unconverged = _kmeans_restarts(X, k, restarts, seed, max_iter)
     inertia[~np.isfinite(inertia)] = np.inf
     best = int(np.argmin(inertia))
     if inertia[best] == np.inf:
         raise ValueError("k-means inertia overflows: input magnitudes are too large")
-    return assign[best]
+    return assign[best], unconverged
 
 
 def _entropy(counts: np.ndarray) -> float:
@@ -285,7 +289,7 @@ def evaluate_batch(
     """
     recall = recall_at_k(batch, ks)
     n_classes = int(np.unique(batch.labels).size)
-    assignments = kmeans(batch, n_classes, restarts=kmeans_restarts, seed=seed)
+    assignments, unconverged = kmeans(batch, n_classes, restarts=kmeans_restarts, seed=seed)
     try:
         intra, inter, ratio = embedding_density(batch, distance=density_distance)
     except UndefinedDensity:
@@ -303,6 +307,7 @@ def evaluate_batch(
             "dim": batch.dim,
             "seed": seed,
             "kmeans_restarts": kmeans_restarts,
+            "kmeans_unconverged_restarts": unconverged,
             "density_distance": density_distance,
             "spectral_exclude_top": exclude_top,
         },

@@ -12,13 +12,14 @@ per-epoch diffusion over the whole training set (mutual-kNN graph).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .diffusion import DiffusionParams, refine_global, refine_similarity
-from .distill import dynamic_weight, psd_grad, psd_loss, row_softmax
-from .embeddings import EmbeddingBatch, cosine_similarity_matrix, normalize_rows, pair_grad_to_raw
+from .distill import dynamic_weight, psd_grad, psd_loss, soften
+from .embeddings import EmbeddingBatch, cosine_similarity_matrix, normalize_rows, pair_grad_to_raw, row_geometry
 from .errors import InsufficientClasses, NoValidPairs
 from .metrics import EUCLIDEAN, MetricsReport, embedding_density, evaluate_batch, spectral_decay
 
@@ -64,6 +65,14 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.inputs.shape[0]
+
+    @cached_property
+    def class_members(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """The labels with >= 2 rows, ascending, and the row indices of each, ascending."""
+        order = np.argsort(self.labels, kind="stable")
+        classes, starts, counts = np.unique(self.labels[order], return_index=True, return_counts=True)
+        keep = counts >= 2
+        return classes[keep], [rows for rows, kept in zip(np.split(order, starts[1:]), keep) if kept]
 
 
 def generate_synthetic(spec: SyntheticDatasetSpec) -> Dataset:
@@ -111,19 +120,14 @@ def sample_batch(dataset: Dataset, batch_size: int, rng: np.random.Generator) ->
     """Indices of batch_size/2 distinct classes with 2 distinct samples each."""
     if batch_size % 2 != 0 or batch_size < 2:
         raise ValueError("batch_size must be a positive even number")
-    labels = dataset.labels
-    classes, counts = np.unique(labels, return_counts=True)
-    eligible = classes[counts >= 2]
+    eligible, members = dataset.class_members
     need = batch_size // 2
     if eligible.size < need:
         raise InsufficientClasses(
             f"need {need} classes with >= 2 samples, have {eligible.size}"
         )
     chosen = rng.choice(eligible, size=need, replace=False)
-    picks = []
-    for c in chosen:
-        members = np.nonzero(labels == c)[0]
-        picks.append(rng.choice(members, size=2, replace=False))
+    picks = [rng.choice(members[i], size=2, replace=False) for i in np.searchsorted(eligible, chosen)]
     return np.concatenate(picks)
 
 
@@ -202,16 +206,15 @@ def baseline_contrastive_loss_and_grad(
 
     Positives contribute mean(1 - z_i . z_j), negatives mean(max(0, z_i . z_j
     - margin)), each averaged over its own pair set (an absent set contributes
-    0). Raises NoValidPairs when the batch has no pairs at all.
+    0). Raises NoValidPairs when the batch has no pairs at all. `raw_vectors`
+    may be given as their `row_geometry`.
     """
-    V = np.asarray(raw_vectors, dtype=np.float64)
+    student = row_geometry(raw_vectors)
     labels = np.asarray(labels)
-    n = V.shape[0]
+    n = student.Z.shape[0]
     if n < 2:
         raise NoValidPairs("need at least 2 samples to form a pair")
-    norms = np.linalg.norm(V, axis=1)
-    Z = normalize_rows(V)
-    D = Z @ Z.T
+    D = student.gram
     upper = np.triu(np.ones((n, n), dtype=bool), k=1)
     same = labels[:, None] == labels
     pos, neg = upper & same, upper & ~same  # boolean indexing reads pairs in row-major order
@@ -226,7 +229,7 @@ def baseline_contrastive_loss_and_grad(
         viol = D[neg] - margin
         loss += float(np.mean(np.maximum(viol, 0.0)))
         g_pairs[neg] = np.where(viol > 0, 1.0 / n_neg, 0.0)
-    return loss, pair_grad_to_raw(g_pairs, Z, norms)
+    return loss, pair_grad_to_raw(g_pairs, student.Z, student.norms)
 
 
 # ---------------------------------------------------------------------------
@@ -277,13 +280,36 @@ class EpochRecord:
 
 
 @dataclass(frozen=True)
-class TrainResult:
+class Checkpoint:
+    """A run between epochs: the next epoch, the student (the next teacher too) and the sampler."""
+
+    epoch: int
     params: EncoderParams
+    rng_state: dict  # rng.bit_generator.state: a plain dict, so unpickling loads no numpy.random
+
+
+@dataclass(frozen=True)
+class TrainResult:
     history: list[EpochRecord]
     diffusion_seconds: float
     final_train: EmbeddingBatch
     final_test: EmbeddingBatch
     degenerate_rows: dict[int, tuple[int, ...]]  # epoch -> the train rows its diffusion floored
+    end: Checkpoint
+
+    @property
+    def params(self) -> EncoderParams:
+        return self.end.params
+
+
+def join_segments(parts: list[TrainResult]) -> TrainResult:
+    """One run from its consecutive segments, each resumed from the one before."""
+    return replace(
+        parts[-1],
+        history=[record for part in parts for record in part.history],
+        diffusion_seconds=sum(part.diffusion_seconds for part in parts),
+        degenerate_rows={e: rows for part in parts for e, rows in part.degenerate_rows.items()},
+    )
 
 
 def batch_step_gradients(
@@ -304,7 +330,8 @@ def batch_step_gradients(
     identical to the baseline.
     """
     V, caches = encoder_forward(student, X)
-    dml_loss, d_raw = baseline_contrastive_loss_and_grad(V, y, cfg.margin)
+    geometry = row_geometry(V)
+    dml_loss, d_raw = baseline_contrastive_loss_and_grad(geometry, y, cfg.margin)
     distill_loss = 0.0
     diff_seconds = 0.0
     floored = ()
@@ -322,9 +349,9 @@ def batch_step_gradients(
             refined = refine_similarity(cosine_similarity_matrix(z_teacher), cfg.diffusion)
             diff_seconds += time.perf_counter() - started
             target, floored = refined.matrix, refined.degenerate_rows
-        student_D = cosine_similarity_matrix(normalize_rows(V))
-        distill_loss = psd_loss(target, student_D, cfg.tau)
-        d_raw = d_raw + weight * psd_grad(V, row_softmax(target, cfg.tau), cfg.tau)
+        soft_target = soften(target, cfg.tau)
+        distill_loss = psd_loss(soft_target, geometry.cosine, cfg.tau)
+        d_raw = d_raw + weight * psd_grad(geometry, soft_target, cfg.tau)
     grads = encoder_backward(student, caches, d_raw)
     return dml_loss, distill_loss, grads, diff_seconds, floored
 
@@ -334,18 +361,31 @@ def train(
     test_set: Dataset,
     cfg: TrainerConfig,
     seed: int,
+    stop: int | None = None,
+    resume: Checkpoint | None = None,
 ) -> TrainResult:
-    """Run the full loop; deterministic given (datasets, cfg, seed)."""
+    """Run epochs resume.epoch (0 without one) up to `stop` (all by default).
+
+    Deterministic given (datasets, cfg, seed): a run split at any epochs, each
+    part resumed from the `end` of the one before, joins (`join_segments`)
+    into the unsplit run, bit for bit, but for `diffusion_seconds`.
+    """
     rng = np.random.default_rng(seed)
-    input_dim = train_set.inputs.shape[1]
-    student = init_encoder(rng, input_dim, cfg.hidden_dim, cfg.embed_dim)
+    if resume is None:
+        start, student = 0, init_encoder(rng, train_set.inputs.shape[1], cfg.hidden_dim, cfg.embed_dim)
+    else:
+        start, student = resume.epoch, resume.params
+        rng.bit_generator.state = resume.rng_state
+    stop = cfg.epochs if stop is None else stop
+    if not start < stop <= cfg.epochs:
+        raise ValueError(f"epochs {start}..{stop} are not a segment of 0..{cfg.epochs}")
     teacher = clone_params(student)
     batches_per_epoch = max(1, train_set.n // cfg.batch_size)
     history: list[EpochRecord] = []
     diffusion_seconds = 0.0
     degenerate_rows = {}
 
-    for epoch in range(cfg.epochs):
+    for epoch in range(start, stop):
         weight = 0.0
         if cfg.distill_mode != DISTILL_NONE:
             weight = dynamic_weight(cfg.tau, cfg.distill_weight, epoch, cfg.epochs, cfg.dynamic)
@@ -405,10 +445,10 @@ def train(
         )
 
     return TrainResult(
-        params=student,
         history=history,
         diffusion_seconds=diffusion_seconds,
         final_train=train_embeds,  # the last epoch's embeddings of the final student
         final_test=test_embeds,
         degenerate_rows=degenerate_rows,
+        end=Checkpoint(stop, student, rng.bit_generator.state),
     )

@@ -6,6 +6,7 @@ import re
 import stat
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from diffdistill.cli import main
 from diffdistill.config import default_config_text
 from diffdistill.diffusion import DiffusionParams
 from diffdistill.embeddings import EmbeddingBatch, normalize_rows
+from diffdistill.errors import SingularSystem
 from diffdistill.io import EmbeddingTable, read_embeddings_csv, write_embeddings_csv
 from diffdistill.metrics import evaluate_batch
 from helpers import read_json, read_similarity_csv, write_embeddings_binary
@@ -96,6 +98,8 @@ def test_train_writes_all_artifacts(tmp_path):
     assert "version" in run_meta
 
 
+MASK_DIFFUSION_SECONDS = re.compile(rb'"diffusion_seconds": [0-9.e+-]+')
+
 # sha256 of each artifact of `train <default config> --seed 0 --out-dir out`, with
 # every `"diffusion_seconds": <value>` cut out; pins the bytes across refactors
 GOLDEN_DEFAULT_TRAIN = {
@@ -112,9 +116,8 @@ def test_default_train_artifacts_match_golden_hashes(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "run.cfg").write_text(default_config_text())
     assert main(["train", "run.cfg", "--seed", "0", "--out-dir", "out"]) == 0
-    mask = re.compile(rb'"diffusion_seconds": [0-9.e+-]+')
     digests = {
-        path.name: hashlib.sha256(mask.sub(b"", path.read_bytes())).hexdigest()
+        path.name: hashlib.sha256(MASK_DIFFUSION_SECONDS.sub(b"", path.read_bytes())).hexdigest()
         for path in (tmp_path / "out").iterdir()
     }
     assert digests == GOLDEN_DEFAULT_TRAIN
@@ -135,19 +138,77 @@ def run_on_cpus(tmp_path, monkeypatch, capfd, cpus, command=("train",), **overri
     return code, capfd.readouterr(), run_dir / "out"
 
 
+# 5 epochs: 2 workers split each seed into 2 + 3 epochs, 3 workers into 1 + 2 + 2
+SEGMENTS = {1: [(0, 5)], 2: [(0, 2), (2, 5)], 3: [(0, 1), (1, 3), (3, 5)]}
+
+
+def run_in_segments(tmp_path, monkeypatch, capfd, command, seeds, runs_per_seed=1):
+    """`run_on_cpus` with 5 epochs on 1, 2 and 3 CPUs, checking the segments each seed ran in."""
+    real_run_training = cli.run_training
+    runs = []
+    for cpus, segments in SEGMENTS.items():
+        log = tmp_path / f"segments{cpus}"
+
+        def logged(config, seed, stop=None, resume=None):
+            with open(log, "a") as handle:  # forked workers append here too
+                handle.write(f"{seed} {0 if resume is None else resume.epoch} {stop}\n")
+            return real_run_training(config, seed, stop, resume)
+
+        monkeypatch.setattr(cli, "run_training", logged)
+        runs.append(run_on_cpus(tmp_path, monkeypatch, capfd, cpus, command, seeds=seeds, epochs=5))
+        ran = sorted(tuple(map(int, line.split())) for line in log.read_text().splitlines())
+        seed_list = [int(seed) for seed in seeds.split(",")]
+        assert ran == sorted(runs_per_seed * [(seed, *span) for seed in seed_list for span in segments])
+    return runs
+
+
 def test_train_artifacts_and_stdout_do_not_depend_on_cpu_count(tmp_path, monkeypatch, capfd):
-    # five seeds on two workers: more seeds than the four the pool keeps in flight
-    runs = [run_on_cpus(tmp_path, monkeypatch, capfd, cpus, seeds="0,1,2,3,4") for cpus in (1, 2)]
-    (code1, io1, out1), (code2, io2, out2) = runs
-    assert code1 == code2 == 0
-    assert io1.out == io2.out
+    # five seeds on two and three workers, their epochs split unevenly
+    runs = run_in_segments(tmp_path, monkeypatch, capfd, ("train",), "0,1,2,3,4")
+    code1, io1, out1 = runs[0]
     assert [line.split(":")[0] for line in io1.out.splitlines()] == [f"seed {s}" for s in range(5)]
     names = sorted(p.name for p in out1.iterdir())
-    assert names == sorted(p.name for p in out2.iterdir()) and len(names) == 21
-    mask = re.compile(rb'"diffusion_seconds": [0-9.e+-]+')
-    for name in names:
-        one, two = (out1 / name).read_bytes(), (out2 / name).read_bytes()
-        assert mask.sub(b"", one) == mask.sub(b"", two), name
+    assert len(names) == 21
+    for code, captured, out in runs:
+        assert code == 0
+        assert captured.out == io1.out and captured.err == io1.err
+        assert sorted(p.name for p in out.iterdir()) == names
+        for name in names:
+            one, other = (out1 / name).read_bytes(), (out / name).read_bytes()
+            assert MASK_DIFFUSION_SECONDS.sub(b"", one) == MASK_DIFFUSION_SECONDS.sub(b"", other), name
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_train_seed_failing_in_its_second_segment_keeps_the_seeds_before_it(
+    tmp_path, monkeypatch, capfd, cpus
+):
+    # 5 epochs: epoch 2 lies in the second segment on 2 and on 3 workers
+    failed = tmp_path / "seed1_failed"
+    parent = os.getpid()
+    real_evaluate = training.evaluate_batch
+
+    def evaluate(*args, seed, **kwargs):
+        if seed == 1000 + 2:  # seed 1, epoch 2
+            failed.touch()
+            raise SingularSystem("seed 1 failed in epoch 2")
+        if seed == 4 and os.getpid() != parent:  # seed 0, epoch 4: wait until seed 1 has failed
+            deadline = time.monotonic() + 60
+            while not failed.exists():
+                assert time.monotonic() < deadline, "seed 1 never failed"
+                time.sleep(0.01)
+        return real_evaluate(*args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(training, "evaluate_batch", evaluate)
+    code, captured, out = run_on_cpus(tmp_path, monkeypatch, capfd, cpus, seeds="0,1,2", epochs=5)
+    assert code == 3
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    assert json.loads(lines[0])["error"] == "SingularSystem"
+    assert [line.split(":")[0] for line in captured.out.splitlines()] == ["seed 0"]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "embeddings_test_seed0.csv", "embeddings_train_seed0.csv", "history_seed0.csv", "run_seed0.json"
+    ]
+    assert len(read_json(out / "run_seed0.json")["history"]) == 5
 
 
 def test_train_and_sweep_report_floored_rows_once_per_seed(tmp_path, monkeypatch, capfd):
@@ -465,6 +526,18 @@ def test_eval_twin_classes_recall_one(tmp_path):
     assert "config_hash" in payload["meta"]
 
 
+@pytest.mark.parametrize("noise, unconverged", [(0.0, 10), (0.3, 0)])
+def test_eval_meta_counts_kmeans_restarts_stopped_still_moving(tmp_path, noise, unconverged):
+    # 5 classes over 3 distinct rows, 3 copies each: k-means keeps refilling
+    # empty clusters, so max_iter stops all 10 restarts; with noise the 9
+    # distinct rows settle
+    rng = np.random.default_rng(4)
+    vectors = rng.standard_normal((3, 3))[[0, 1, 2] * 3] + noise * rng.standard_normal((9, 3))
+    write_table(tmp_path / "emb.csv", vectors, [0, 0, 1, 1, 2, 2, 3, 3, 4])
+    assert main(["eval", str(tmp_path / "emb.csv"), "--ks", "1", "--out-dir", str(tmp_path)]) == 0
+    assert read_json(tmp_path / "metrics.json")["meta"]["kmeans_unconverged_restarts"] == unconverged
+
+
 def test_eval_unique_classes_zero_recall(tmp_path):
     rng = np.random.default_rng(3)
     write_table(tmp_path / "emb.csv", rng.standard_normal((8, 5)), np.arange(8))
@@ -688,7 +761,7 @@ def test_sweep_single_value_matches_train(tmp_path):
 
 
 def test_sweep_programming_error_propagates(tmp_path, monkeypatch):
-    def broken(config, seed):
+    def broken(config, seed, *segment):
         raise TypeError("bug, not a failed run")
 
     monkeypatch.setattr("diffdistill.cli.run_training", broken)
@@ -699,7 +772,7 @@ def test_sweep_programming_error_propagates(tmp_path, monkeypatch):
 
 
 def test_sweep_library_error_becomes_failed_row(tmp_path, monkeypatch):
-    def failing(config, seed):
+    def failing(config, seed, *segment):
         raise FloatingPointError("overflow")
 
     monkeypatch.setattr("diffdistill.cli.run_training", failing)
@@ -718,11 +791,12 @@ def test_sweep_omega_out_of_range_exit_2(tmp_path):
 
 def test_sweep_csv_and_stdout_do_not_depend_on_cpu_count(tmp_path, monkeypatch, capfd):
     sweep = ("sweep", "omega", "0.3,0.7")
-    runs = [run_on_cpus(tmp_path, monkeypatch, capfd, cpus, sweep, seeds="0,1,2") for cpus in (1, 2)]
-    (code1, io1, out1), (code2, io2, out2) = runs
-    assert code1 == code2 == 0
-    assert io1.out == io2.out
-    assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+    runs = run_in_segments(tmp_path, monkeypatch, capfd, sweep, "0,1,2", runs_per_seed=2)
+    code1, io1, out1 = runs[0]
+    for code, captured, out in runs:
+        assert code == 0
+        assert captured.out == io1.out and captured.err == io1.err
+        assert (out / "sweep.csv").read_bytes() == (out1 / "sweep.csv").read_bytes()
     rows = data_rows(out1 / "sweep.csv")
     assert [row.split(",")[:3] for row in rows[1:]] == [["omega", "0.3", "3"], ["omega", "0.7", "3"]]
 
@@ -745,7 +819,7 @@ def test_train_and_sweep_headline_is_the_smallest_recall_k(tmp_path, capsys):
 
 @pytest.mark.parametrize("parameter, values", [("omega", "0.5,1.5"), ("lambda", "40,-1")])
 def test_sweep_bad_later_value_exit_2_before_any_run(tmp_path, monkeypatch, capsys, parameter, values):
-    def never(config, seed):
+    def never(config, seed, *segment):
         raise AssertionError("trained before every value was checked")
 
     monkeypatch.setattr("diffdistill.cli.run_training", never)
@@ -761,10 +835,10 @@ def test_sweep_bad_later_value_exit_2_before_any_run(tmp_path, monkeypatch, caps
 def test_sweep_failure_on_one_seed_keeps_the_seeds_before_it(tmp_path, monkeypatch, capfd, cpus):
     real_run_training = cli.run_training
 
-    def fails_on_seed_1(config, seed):
+    def fails_on_seed_1(config, seed, *segment):
         if seed == 1:
             raise FloatingPointError("overflow on seed 1")
-        return real_run_training(config, seed)
+        return real_run_training(config, seed, *segment)
 
     monkeypatch.setattr("diffdistill.cli.run_training", fails_on_seed_1)
     sweep = ("sweep", "omega", "0.5")

@@ -216,6 +216,28 @@ def test_fork_map_yields_in_order_on_forked_workers(monkeypatch, cpus, items, fo
     assert len(pids) <= min(cpus, items)
 
 
+def pid_chain_link(item):
+    return os.getpid(), item
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_fork_chains_yields_every_chain_whole_and_in_order(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    lengths = [3, 1, 4, 2, 5]  # more chains than workers, of uneven lengths
+
+    def follow(item, out):
+        chain, link = item
+        return (chain, link + 1) if link + 1 < lengths[chain] else None
+
+    chains = list(io.fork_chains(pid_chain_link, [(chain, 0) for chain in range(5)], follow))
+    assert [[item for _, item in outs] for outs in chains] == [
+        [(chain, link) for link in range(n)] for chain, n in enumerate(lengths)
+    ]
+    pids = {pid for outs in chains for pid, _ in outs}
+    assert (os.getpid() in pids) == (cpus == 1)
+    assert len(pids) <= cpus
+
+
 def test_fork_map_keeps_two_items_per_worker_in_flight(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     log = tmp_path / "started"
@@ -235,6 +257,7 @@ def test_fork_map_keeps_two_items_per_worker_in_flight(tmp_path, monkeypatch):
 def test_fork_map_imports_process_pools_only_when_parallel():
     code = (
         "import sys, diffdistill.cli, diffdistill.io as io; list(io.fork_map(abs, [-1])); "
+        "list(io.fork_chains(abs, [-1], lambda item, out: None)); "
         "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
     )
     src = str(Path(io.__file__).resolve().parents[1])

@@ -87,7 +87,7 @@ def test_kmeans_k_equals_n_zero_inertia():
     rng = np.random.default_rng(3)
     X = rng.standard_normal((6, 3))
     batch = batch_of(X, np.zeros(6, dtype=int))
-    assign = kmeans(batch, k=6, restarts=3, seed=0)
+    assign, _ = kmeans(batch, k=6, restarts=3, seed=0)
     assert np.unique(assign).size == 6
 
 
@@ -96,7 +96,7 @@ def test_kmeans_separated_blobs_recovered():
     a = np.array([10.0, 0.0, 0.0]) + 0.05 * rng.standard_normal((8, 3))
     b = np.array([0.0, 10.0, 0.0]) + 0.05 * rng.standard_normal((8, 3))
     X = np.vstack([a, b])
-    assign = kmeans(X, k=2, restarts=5, seed=1)
+    assign, _ = kmeans(X, k=2, restarts=5, seed=1)
     assert np.unique(assign[:8]).size == 1
     assert np.unique(assign[8:]).size == 1
     assert assign[0] != assign[8]
@@ -105,13 +105,17 @@ def test_kmeans_separated_blobs_recovered():
 def test_kmeans_deterministic_given_seed():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((20, 4))
-    a = kmeans(X, k=4, restarts=10, seed=42)
-    b = kmeans(X, k=4, restarts=10, seed=42)
+    a, _ = kmeans(X, k=4, restarts=10, seed=42)
+    b, _ = kmeans(X, k=4, restarts=10, seed=42)
     np.testing.assert_array_equal(a, b)
 
 
 def sequential_kmeans(X, k, restarts=10, seed=0, max_iter=300):
-    """The one-restart-at-a-time k-means that `kmeans` must reproduce bitwise."""
+    """The one-restart-at-a-time k-means that `kmeans` must reproduce bitwise.
+
+    Returns the best assignments and how many restarts ran all max_iter steps
+    without settling.
+    """
 
     def seed_centers(rng):
         centers = np.empty((k, X.shape[1]))
@@ -124,10 +128,12 @@ def sequential_kmeans(X, k, restarts=10, seed=0, max_iter=300):
 
     def lloyd(centers):
         assign = np.full(X.shape[0], -1)
+        settled = False
         for _ in range(max_iter):
             d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
             new_assign = np.argmin(d2, axis=1)
             if np.array_equal(new_assign, assign):
+                settled = True
                 break
             assign = new_assign
             for c in range(k):
@@ -139,15 +145,16 @@ def sequential_kmeans(X, k, restarts=10, seed=0, max_iter=300):
                     centers[c] = X[int(np.argmax(dist_to_own))]
         d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         assign = np.argmin(d2, axis=1)
-        return assign, float(d2[np.arange(X.shape[0]), assign].sum())
+        return assign, float(d2[np.arange(X.shape[0]), assign].sum()), settled
 
     rng = np.random.default_rng(seed)
-    best_assign, best_inertia = None, np.inf
+    best_assign, best_inertia, unconverged = None, np.inf, 0
     for _ in range(max(1, restarts)):
-        assign, inertia = lloyd(seed_centers(rng))
+        assign, inertia, settled = lloyd(seed_centers(rng))
+        unconverged += not settled
         if inertia < best_inertia:
             best_assign, best_inertia = assign, inertia
-    return best_assign
+    return best_assign, unconverged
 
 
 def same_partition(a, b):
@@ -178,19 +185,20 @@ def oracle_cases(rng, count):
 def test_kmeans_bitwise_equals_sequential_oracle():
     rng = np.random.default_rng(20)
     for X, k, restarts, max_iter, seed in oracle_cases(rng, 240):
-        got = kmeans(X, k, restarts=restarts, seed=seed, max_iter=max_iter)
-        want = sequential_kmeans(X, k, restarts=restarts, seed=seed, max_iter=max_iter)
+        got, got_unconverged = kmeans(X, k, restarts=restarts, seed=seed, max_iter=max_iter)
+        want, want_unconverged = sequential_kmeans(X, k, restarts=restarts, seed=seed, max_iter=max_iter)
         if X.shape[1] == 1:
             # numpy's axis-0 mean of a column is pairwise, not row-order, so
             # centres may differ in the last bit; the clustering may not
             assert same_partition(got, want), (X.shape, k, restarts, max_iter, seed)
         else:
             assert np.array_equal(got, want), (X.shape, k, restarts, max_iter, seed)
+            assert got_unconverged == want_unconverged, (X.shape, k, restarts, max_iter, seed)
         if seed % 5 == 0:
             # the same data in Fortran order clusters the same
             fortran = np.asfortranarray(X)
             assert np.array_equal(
-                kmeans(fortran, k, restarts=restarts, seed=seed, max_iter=max_iter), got
+                kmeans(fortran, k, restarts=restarts, seed=seed, max_iter=max_iter)[0], got
             )
 
 
@@ -207,14 +215,14 @@ def test_kmeans_exact_tie_takes_lower_index():
         t = rng.integers(1, 9, size=d) * rng.choice([-1.0, 1.0], size=d)
         X = np.stack([a, a + 2 * t, a + t])
         for max_iter in (0, 1, 2):
-            got = kmeans(X, 2, restarts=1, seed=seed, max_iter=max_iter)
-            want = sequential_kmeans(X, 2, restarts=1, seed=seed, max_iter=max_iter)
+            got, _ = kmeans(X, 2, restarts=1, seed=seed, max_iter=max_iter)
+            want, _ = sequential_kmeans(X, 2, restarts=1, seed=seed, max_iter=max_iter)
             assert np.array_equal(got, want)
         if np.random.default_rng(seed).integers(3) < 2:
             # seeded at c0 or c1: the other end is the second centre, and the
             # first centre's cluster (index 0) takes x
             tied += 1
-            assert kmeans(X, 2, restarts=1, seed=seed, max_iter=0)[2] == 0
+            assert kmeans(X, 2, restarts=1, seed=seed, max_iter=0)[0][2] == 0
     assert tied >= 10
 
 
@@ -504,5 +512,6 @@ def test_evaluate_batch_report_fields_and_meta():
     )
     payload = report.to_json_dict()
     assert payload["meta"]["density_distance"] == EUCLIDEAN
+    assert payload["meta"]["kmeans_unconverged_restarts"] == 0
     assert payload["meta"]["n"] == 20
     assert list(payload["recall"]) == ["1", "2", "4"]

@@ -1,7 +1,14 @@
+import os
+import pickle
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffdistill import diffusion, training
 from diffdistill.diffusion import DiffusionParams
@@ -19,6 +26,7 @@ from diffdistill.training import (
     flip_labels,
     generate_synthetic,
     init_encoder,
+    join_segments,
     sample_batch,
     train,
     zero_shot_task,
@@ -163,6 +171,41 @@ def test_sample_batch_insufficient_classes():
     data = Dataset(inputs=np.zeros((15, 2)), labels=labels)
     with pytest.raises(InsufficientClasses):
         sample_batch(data, 8, rng)
+
+
+def per_call_sample_batch(dataset, batch_size, rng):
+    """`sample_batch` as it was, finding every class's members on each call."""
+    labels = dataset.labels
+    classes, counts = np.unique(labels, return_counts=True)
+    eligible = classes[counts >= 2]
+    need = batch_size // 2
+    if eligible.size < need:
+        raise InsufficientClasses(f"need {need} classes with >= 2 samples, have {eligible.size}")
+    chosen = rng.choice(eligible, size=need, replace=False)
+    picks = []
+    for c in chosen:
+        members = np.nonzero(labels == c)[0]
+        picks.append(rng.choice(members, size=2, replace=False))
+    return np.concatenate(picks)
+
+
+def test_sample_batch_draws_equal_the_per_call_class_index():
+    rng = np.random.default_rng(31)
+    # shuffled labels; classes of 1, 2, 3 and up to 12 rows, with gaps between labels
+    labels = rng.permutation(np.repeat([0, 2, 3, 5, 6, 9, 11, 40], [1, 2, 3, 1, 12, 7, 2, 5]))
+    dataset = Dataset(rng.standard_normal((labels.size, 3)), labels)
+    eligible = 6  # labels 2, 3, 6, 9, 11 and 40
+    for seed in range(20):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for call, half in enumerate(np.random.default_rng(100 + seed).integers(1, eligible + 1, 100)):
+            got = sample_batch(dataset, 2 * int(half), ours)
+            want = per_call_sample_batch(dataset, 2 * int(half), theirs)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (seed, call)
+        with pytest.raises(InsufficientClasses, match="have 6"):
+            sample_batch(dataset, 2 * eligible + 2, ours)
+        with pytest.raises(InsufficientClasses, match="have 6"):
+            per_call_sample_batch(dataset, 2 * eligible + 2, theirs)
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 def test_sample_batch_rejects_odd_size():
@@ -457,3 +500,75 @@ def test_global_scope_above_dense_bound_iterates_on_the_padded_graph(monkeypatch
     cfg = small_config(epochs=2, diffusion_scope="global", knn_k=10)
     assert len(train(train_set, test_set, cfg, seed=0).history) == 2
     assert len(iterations) == 1 and iterations[0] > 1  # epoch 1 only: epoch 0 has zero weight
+
+
+# ---------------------------------------------------------------------------
+# segments: a run split at epoch boundaries and resumed
+
+
+def train_in_segments(train_set, test_set, cfg, seed, stops):
+    parts, resume = [], None
+    for stop in stops:
+        parts.append(train(train_set, test_set, cfg, seed, stop, resume))
+        resume = parts[-1].end
+    return join_segments(parts)
+
+
+SEGMENT_SETTINGS = [
+    {"distill_mode": "none"},
+    {"distill_mode": "psd"},
+    {"distill_mode": "obdsd"},
+    {"distill_mode": "obdsd", "diffusion_scope": "global", "knn_k": 10},  # floors row 63
+]
+
+
+@settings(max_examples=16, deadline=None)
+@given(
+    setting=st.sampled_from(SEGMENT_SETTINGS),
+    epochs=st.integers(2, 5),
+    cuts=st.sets(st.integers(1, 4)),
+    seed=st.integers(0, 3),
+)
+def test_split_run_equals_the_unsplit_run_bitwise(setting, epochs, cuts, seed):
+    train_set, test_set = zero_shot_task(SPEC, 8)
+    cfg = small_config(epochs=epochs, **setting)
+    stops = sorted(c for c in cuts if c < epochs) + [epochs]
+    whole = train(train_set, test_set, cfg, seed)
+    split = train_in_segments(train_set, test_set, cfg, seed, stops)
+    assert split.history == whole.history
+    np.testing.assert_array_equal(flatten_params(split.params), flatten_params(whole.params))
+    assert split.degenerate_rows == whole.degenerate_rows
+    for final in ("final_train", "final_test"):
+        np.testing.assert_array_equal(getattr(split, final).vectors, getattr(whole, final).vectors)
+        np.testing.assert_array_equal(getattr(split, final).labels, getattr(whole, final).labels)
+    assert split.end.epoch == whole.end.epoch == epochs
+    assert split.end.rng_state == whole.end.rng_state
+
+
+def test_global_scope_split_keeps_the_floored_rows():
+    # the hypothesis test may not draw it: global scope floors row 63 in epoch 1 of 2
+    train_set, test_set = zero_shot_task(SPEC, 8)
+    cfg = small_config(epochs=2, **SEGMENT_SETTINGS[-1])
+    assert train_in_segments(train_set, test_set, cfg, 0, [1, 2]).degenerate_rows == {1: (63,)}
+
+
+@pytest.mark.parametrize("start, stop", [(0, 0), (2, 2), (1, 4)])
+def test_train_rejects_an_empty_or_overlong_segment(start, stop):
+    train_set, test_set = zero_shot_task(SPEC, 8)
+    cfg = small_config(epochs=3)
+    resume = None if start == 0 else train(train_set, test_set, cfg, 0, start).end
+    with pytest.raises(ValueError, match="not a segment"):
+        train(train_set, test_set, cfg, 0, stop, resume)
+
+
+def test_unpickling_a_train_result_does_not_load_numpy_random():
+    # a forked worker returns this; the CLI's main process never loads numpy.random
+    train_set, test_set = zero_shot_task(SPEC, 8)
+    result = train(train_set, test_set, small_config(epochs=1), seed=0)
+    code = "import pickle, sys; pickle.loads(sys.stdin.buffer.read()); print('numpy.random' in sys.modules)"
+    src = str(Path(training.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], input=pickle.dumps(result), env=env, capture_output=True, timeout=60
+    )
+    assert loaded.stdout == b"False\n", loaded.stderr
