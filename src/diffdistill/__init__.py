@@ -54,6 +54,7 @@ from .metrics import (
     spectral_decay,
 )
 from .training import (
+    Checkpoint,
     Dataset,
     EncoderParams,
     SyntheticDatasetSpec,
@@ -62,6 +63,7 @@ from .training import (
     baseline_contrastive_loss_and_grad,
     flip_labels,
     generate_synthetic,
+    join_segments,
     sample_batch,
     train,
     zero_shot_task,

@@ -514,21 +514,17 @@ def train_in_segments(train_set, test_set, cfg, seed, stops):
     return join_segments(parts)
 
 
-SEGMENT_SETTINGS = [
-    {"distill_mode": "none"},
-    {"distill_mode": "psd"},
-    {"distill_mode": "obdsd"},
-    {"distill_mode": "obdsd", "diffusion_scope": "global", "knn_k": 10},  # floors row 63
-]
+SEGMENT_SETTINGS = {
+    "none": {"distill_mode": "none"},
+    "psd": {"distill_mode": "psd"},
+    "obdsd": {"distill_mode": "obdsd"},
+    "obdsd-global": {"distill_mode": "obdsd", "diffusion_scope": "global", "knn_k": 10},
+}
 
 
-@settings(max_examples=16, deadline=None)
-@given(
-    setting=st.sampled_from(SEGMENT_SETTINGS),
-    epochs=st.integers(2, 5),
-    cuts=st.sets(st.integers(1, 4)),
-    seed=st.integers(0, 3),
-)
+@pytest.mark.parametrize("setting", SEGMENT_SETTINGS.values(), ids=SEGMENT_SETTINGS)
+@settings(max_examples=8, deadline=None)
+@given(epochs=st.integers(2, 5), cuts=st.sets(st.integers(1, 4)), seed=st.integers(0, 3))
 def test_split_run_equals_the_unsplit_run_bitwise(setting, epochs, cuts, seed):
     train_set, test_set = zero_shot_task(SPEC, 8)
     cfg = small_config(epochs=epochs, **setting)
@@ -548,7 +544,7 @@ def test_split_run_equals_the_unsplit_run_bitwise(setting, epochs, cuts, seed):
 def test_global_scope_split_keeps_the_floored_rows():
     # the hypothesis test may not draw it: global scope floors row 63 in epoch 1 of 2
     train_set, test_set = zero_shot_task(SPEC, 8)
-    cfg = small_config(epochs=2, **SEGMENT_SETTINGS[-1])
+    cfg = small_config(epochs=2, **SEGMENT_SETTINGS["obdsd-global"])
     assert train_in_segments(train_set, test_set, cfg, 0, [1, 2]).degenerate_rows == {1: (63,)}
 
 
