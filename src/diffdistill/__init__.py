@@ -57,8 +57,6 @@ from .training import (
     Checkpoint,
     Dataset,
     EncoderParams,
-    SyntheticDatasetSpec,
-    TrainerConfig,
     TrainResult,
     baseline_contrastive_loss_and_grad,
     flip_labels,

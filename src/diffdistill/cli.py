@@ -115,10 +115,8 @@ def _embedding_table(batch: EmbeddingBatch) -> EmbeddingTable:
 
 def run_training(config: RunConfig, seed: int, stop: int | None = None, resume=None):
     """Train `seed` from `resume` (a Checkpoint; the start without one) up to epoch `stop`."""
-    train_set, test_set = zero_shot_task(
-        config.dataset_spec(seed), config["num_train_classes"]
-    )
-    return train(train_set, test_set, config.trainer_config(), seed, stop, resume)
+    train_set, test_set = zero_shot_task(config, seed)
+    return train(train_set, test_set, config, seed, stop, resume)
 
 
 def _train_seeds(config: RunConfig, seeds: list[int]):

@@ -2,7 +2,8 @@
 
 Every key has a recorded default (see DEFAULTS / default_config_text), but a
 config file handed to a command must bind every key explicitly: unknown keys
-and missing keys are both validation errors that name the offending field.
+and missing keys are both validation errors that name the offending field, as
+is a batch_size that the train classes cannot fill.
 `config_hash` is a sha256 over the canonical sorted key=value lines and is
 embedded in every artifact a command writes.
 """
@@ -21,8 +22,6 @@ from .training import (
     DISTILL_PSD,
     SCOPE_BATCH,
     SCOPE_GLOBAL,
-    SyntheticDatasetSpec,
-    TrainerConfig,
 )
 
 
@@ -141,17 +140,6 @@ class RunConfig:
     def config_hash(self) -> str:
         return canonical_hash(self.values)
 
-    def dataset_spec(self, run_seed: int) -> SyntheticDatasetSpec:
-        v = self.values
-        return SyntheticDatasetSpec(
-            num_classes=v["num_train_classes"] + v["num_test_classes"],
-            samples_per_class=v["samples_per_class"],
-            input_dim=v["input_dim"],
-            cluster_spread=v["cluster_spread"],
-            seed=v["data_seed"] + run_seed,
-            label_flip_ratio=v["label_flip_ratio"],
-        )
-
     def diffusion_params(self) -> DiffusionParams:
         v = self.values
         return DiffusionParams(
@@ -161,27 +149,6 @@ class RunConfig:
             degree_epsilon=v["degree_epsilon"],
         )
 
-    def trainer_config(self) -> TrainerConfig:
-        v = self.values
-        return TrainerConfig(
-            epochs=v["epochs"],
-            batch_size=v["batch_size"],
-            learning_rate=v["learning_rate"],
-            margin=v["margin"],
-            hidden_dim=v["hidden_dim"],
-            embed_dim=v["embed_dim"],
-            distill_mode=v["distill_mode"],
-            tau=v["tau"],
-            distill_weight=v["lambda"],
-            dynamic=v["dynamic_weight"],
-            diffusion=self.diffusion_params(),
-            diffusion_scope=v["diffusion_scope"],
-            knn_k=v["knn_k"],
-            metric_ks=v["recall_ks"],
-            kmeans_restarts=v["kmeans_restarts"],
-            density_distance=v["density_distance"],
-        )
-
     def with_overrides(self, **overrides) -> "RunConfig":
         """A copy with `overrides` bound; each value passes its field's schema check."""
         unknown = set(overrides) - set(_SCHEMA)
@@ -189,9 +156,15 @@ class RunConfig:
             raise ConfigError(f"unknown config field(s): {', '.join(sorted(unknown))}")
         for key, value in overrides.items():
             _check_value(key, value, "override: ")
-        merged = dict(self.values)
-        merged.update(overrides)
-        return RunConfig(values=merged)
+        return _run_config({**self.values, **overrides}, "override: ")
+
+
+def _run_config(values: dict, where: str) -> RunConfig:
+    """`values` as a RunConfig if the train classes can fill a batch (batch_size/2 of them)."""
+    most, size = 2 * values["num_train_classes"], values["batch_size"]
+    if size > most:
+        raise ConfigError(f"{where}field 'batch_size' must be <= 2 * num_train_classes = {most}, got {size!r}")
+    return RunConfig(values=values)
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
@@ -217,7 +190,7 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     missing = [key for key in _SCHEMA if key not in values]
     if missing:
         raise ConfigError(f"{source}: missing config field(s): {', '.join(missing)}")
-    return RunConfig(values=values)
+    return _run_config(values, f"{source}: ")
 
 
 def load_config(path: str | Path) -> RunConfig:

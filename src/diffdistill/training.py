@@ -12,7 +12,7 @@ per-epoch diffusion over the whole training set (mutual-kNN graph).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -21,7 +21,7 @@ from .diffusion import DiffusionParams, refine_global, refine_similarity
 from .distill import dynamic_weight, psd_grad, psd_loss, soften
 from .embeddings import EmbeddingBatch, cosine_similarity_matrix, normalize_rows, pair_grad_to_raw, row_geometry
 from .errors import InsufficientClasses, NoValidPairs
-from .metrics import EUCLIDEAN, MetricsReport, embedding_density, evaluate_batch, spectral_decay
+from .metrics import MetricsReport, embedding_density, evaluate_batch, spectral_decay
 
 DISTILL_NONE = "none"
 DISTILL_PSD = "psd"
@@ -33,28 +33,6 @@ SCOPE_GLOBAL = "global"
 
 # ---------------------------------------------------------------------------
 # synthetic data
-
-
-@dataclass(frozen=True)
-class SyntheticDatasetSpec:
-    num_classes: int
-    samples_per_class: int
-    input_dim: int
-    cluster_spread: float
-    seed: int
-    label_flip_ratio: float = 0.0
-
-    def __post_init__(self):
-        if self.num_classes < 2:
-            raise ValueError("num_classes must be >= 2")
-        if self.samples_per_class < 2:
-            raise ValueError("samples_per_class must be >= 2")
-        if self.input_dim < 1:
-            raise ValueError("input_dim must be >= 1")
-        if self.cluster_spread < 0:
-            raise ValueError("cluster_spread must be nonnegative")
-        if not 0.0 <= self.label_flip_ratio <= 0.5:
-            raise ValueError("label_flip_ratio must lie in [0, 0.5]")
 
 
 @dataclass(frozen=True)
@@ -75,14 +53,16 @@ class Dataset:
         return classes[keep], [rows for rows, kept in zip(np.split(order, starts[1:]), keep) if kept]
 
 
-def generate_synthetic(spec: SyntheticDatasetSpec) -> Dataset:
+def generate_synthetic(
+    num_classes: int, samples_per_class: int, input_dim: int, cluster_spread: float, seed: int
+) -> Dataset:
     """Gaussian clusters around unit-norm class centers, reproducible from seed."""
-    rng = np.random.default_rng(spec.seed)
-    centers = rng.standard_normal((spec.num_classes, spec.input_dim))
+    rng = np.random.default_rng(seed)
+    centers = rng.standard_normal((num_classes, input_dim))
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)
-    labels = np.repeat(np.arange(spec.num_classes, dtype=np.int64), spec.samples_per_class)
-    noise = rng.standard_normal((labels.size, spec.input_dim))
-    return Dataset(inputs=centers[labels] + spec.cluster_spread * noise, labels=labels)
+    labels = np.repeat(np.arange(num_classes, dtype=np.int64), samples_per_class)
+    noise = rng.standard_normal((labels.size, input_dim))
+    return Dataset(inputs=centers[labels] + cluster_spread * noise, labels=labels)
 
 
 def flip_labels(dataset: Dataset, ratio: float, seed: int) -> Dataset:
@@ -103,16 +83,18 @@ def flip_labels(dataset: Dataset, ratio: float, seed: int) -> Dataset:
     return Dataset(inputs=dataset.inputs, labels=labels)
 
 
-def zero_shot_task(spec: SyntheticDatasetSpec, num_train_classes: int) -> tuple[Dataset, Dataset]:
-    """Split classes disjointly into a train set (label noise applied) and a test set."""
-    if not 1 <= num_train_classes < spec.num_classes:
-        raise ValueError("num_train_classes must leave at least one test class")
-    full = generate_synthetic(spec)
-    train_mask = full.labels < num_train_classes
+def zero_shot_task(config, run_seed: int) -> tuple[Dataset, Dataset]:
+    """A validated RunConfig's classes, drawn for `run_seed` and split disjointly
+    into a train set (label noise applied) and a test set."""
+    seed = config["data_seed"] + run_seed
+    num_classes = config["num_train_classes"] + config["num_test_classes"]
+    spread = config["cluster_spread"]
+    full = generate_synthetic(num_classes, config["samples_per_class"], config["input_dim"], spread, seed)
+    train_mask = full.labels < config["num_train_classes"]
     train = Dataset(full.inputs[train_mask], full.labels[train_mask])
     test = Dataset(full.inputs[~train_mask], full.labels[~train_mask])
-    if spec.label_flip_ratio > 0:
-        train = flip_labels(train, spec.label_flip_ratio, seed=spec.seed + 1)
+    if config["label_flip_ratio"] > 0:
+        train = flip_labels(train, config["label_flip_ratio"], seed=seed + 1)
     return train, test
 
 
@@ -237,38 +219,6 @@ def baseline_contrastive_loss_and_grad(
 
 
 @dataclass(frozen=True)
-class TrainerConfig:
-    epochs: int = 60
-    batch_size: int = 32
-    learning_rate: float = 0.2
-    margin: float = 0.5
-    hidden_dim: int = 32
-    embed_dim: int = 16
-    distill_mode: str = DISTILL_OBDSD
-    tau: float = 1.0
-    distill_weight: float = 40.0
-    dynamic: bool = True
-    diffusion: DiffusionParams = field(default_factory=DiffusionParams)
-    diffusion_scope: str = SCOPE_BATCH
-    knn_k: int = 50
-    metric_ks: tuple[int, ...] = (1, 2, 4, 8)
-    kmeans_restarts: int = 10
-    density_distance: str = EUCLIDEAN
-
-    def __post_init__(self):
-        if self.distill_mode not in (DISTILL_NONE, DISTILL_PSD, DISTILL_OBDSD):
-            raise ValueError(f"unknown distill_mode {self.distill_mode!r}")
-        if self.diffusion_scope not in (SCOPE_BATCH, SCOPE_GLOBAL):
-            raise ValueError(f"unknown diffusion_scope {self.diffusion_scope!r}")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
-        if not self.distill_weight >= 0:
-            raise ValueError("distill_weight must be nonnegative")
-
-
-@dataclass(frozen=True)
 class EpochRecord:
     epoch: int
     distill_weight: float
@@ -317,11 +267,15 @@ def batch_step_gradients(
     teacher: EncoderParams,
     X: np.ndarray,
     y: np.ndarray,
-    cfg: TrainerConfig,
+    config,
+    diffusion: DiffusionParams,
     weight: float,
     global_target: np.ndarray | None = None,
 ):
     """One batch: losses and parameter gradients of L_DML + weight * L_distill.
+
+    `config` is the run's validated RunConfig and `diffusion` its
+    `diffusion_params()`.
 
     Returns (dml_loss, distill_loss, param_grads, diffusion_seconds,
     degenerate_rows), the last the batch rows the batch-scope diffusion
@@ -331,12 +285,13 @@ def batch_step_gradients(
     """
     V, caches = encoder_forward(student, X)
     geometry = row_geometry(V)
-    dml_loss, d_raw = baseline_contrastive_loss_and_grad(geometry, y, cfg.margin)
+    dml_loss, d_raw = baseline_contrastive_loss_and_grad(geometry, y, config["margin"])
     distill_loss = 0.0
     diff_seconds = 0.0
     floored = ()
-    if cfg.distill_mode != DISTILL_NONE and weight != 0.0:
-        if cfg.distill_mode == DISTILL_PSD:
+    mode, tau = config["distill_mode"], config["tau"]
+    if mode != DISTILL_NONE and weight != 0.0:
+        if mode == DISTILL_PSD:
             teacher_raw, _ = encoder_forward(teacher, X)
             z_teacher = normalize_rows(teacher_raw)
             target = cosine_similarity_matrix(z_teacher)
@@ -346,12 +301,12 @@ def batch_step_gradients(
             teacher_raw, _ = encoder_forward(teacher, X)
             z_teacher = normalize_rows(teacher_raw)
             started = time.perf_counter()
-            refined = refine_similarity(cosine_similarity_matrix(z_teacher), cfg.diffusion)
+            refined = refine_similarity(cosine_similarity_matrix(z_teacher), diffusion)
             diff_seconds += time.perf_counter() - started
             target, floored = refined.matrix, refined.degenerate_rows
-        soft_target = soften(target, cfg.tau)
-        distill_loss = psd_loss(soft_target, geometry.cosine, cfg.tau)
-        d_raw = d_raw + weight * psd_grad(geometry, soft_target, cfg.tau)
+        soft_target = soften(target, tau)
+        distill_loss = psd_loss(soft_target, geometry.cosine, tau)
+        d_raw = d_raw + weight * psd_grad(geometry, soft_target, tau)
     grads = encoder_backward(student, caches, d_raw)
     return dml_loss, distill_loss, grads, diff_seconds, floored
 
@@ -359,61 +314,62 @@ def batch_step_gradients(
 def train(
     train_set: Dataset,
     test_set: Dataset,
-    cfg: TrainerConfig,
+    config,
     seed: int,
     stop: int | None = None,
     resume: Checkpoint | None = None,
 ) -> TrainResult:
     """Run epochs resume.epoch (0 without one) up to `stop` (all by default).
 
-    Deterministic given (datasets, cfg, seed): a run split at any epochs, each
-    part resumed from the `end` of the one before, joins (`join_segments`)
-    into the unsplit run, bit for bit, but for `diffusion_seconds`.
+    `config` is a validated RunConfig, read by its schema names. Deterministic
+    given (datasets, config, seed): a run split at any epochs, each part
+    resumed from the `end` of the one before, joins (`join_segments`) into the
+    unsplit run, bit for bit, but for `diffusion_seconds`.
     """
+    epochs, batch_size, mode = config["epochs"], config["batch_size"], config["distill_mode"]
+    diffusion = config.diffusion_params()
     rng = np.random.default_rng(seed)
     if resume is None:
-        start, student = 0, init_encoder(rng, train_set.inputs.shape[1], cfg.hidden_dim, cfg.embed_dim)
+        start = 0
+        student = init_encoder(rng, train_set.inputs.shape[1], config["hidden_dim"], config["embed_dim"])
     else:
         start, student = resume.epoch, resume.params
         rng.bit_generator.state = resume.rng_state
-    stop = cfg.epochs if stop is None else stop
-    if not start < stop <= cfg.epochs:
-        raise ValueError(f"epochs {start}..{stop} are not a segment of 0..{cfg.epochs}")
+    stop = epochs if stop is None else stop
+    if not start < stop <= epochs:
+        raise ValueError(f"epochs {start}..{stop} are not a segment of 0..{epochs}")
     teacher = clone_params(student)
-    batches_per_epoch = max(1, train_set.n // cfg.batch_size)
+    batches_per_epoch = max(1, train_set.n // batch_size)
     history: list[EpochRecord] = []
     diffusion_seconds = 0.0
     degenerate_rows = {}
 
     for epoch in range(start, stop):
         weight = 0.0
-        if cfg.distill_mode != DISTILL_NONE:
-            weight = dynamic_weight(cfg.tau, cfg.distill_weight, epoch, cfg.epochs, cfg.dynamic)
+        if mode != DISTILL_NONE:
+            weight = dynamic_weight(config["tau"], config["lambda"], epoch, epochs, config["dynamic_weight"])
         global_A, floored = None, set()
-        if (
-            cfg.distill_mode == DISTILL_OBDSD
-            and cfg.diffusion_scope == SCOPE_GLOBAL
-            and weight != 0.0
-        ):
+        if mode == DISTILL_OBDSD and config["diffusion_scope"] == SCOPE_GLOBAL and weight != 0.0:
             # offline diffusion over the whole training set on a mutual-kNN
             # graph, kept factored as A = Y Z^T
             teacher_all = embed_dataset(teacher, train_set)
             started = time.perf_counter()
-            refined = refine_global(teacher_all.vectors, cfg.diffusion, cfg.knn_k)
+            refined = refine_global(teacher_all.vectors, diffusion, config["knn_k"])
             diffusion_seconds += time.perf_counter() - started
             global_A = refined.matrix
             floored.update(refined.degenerate_rows)  # already train-set rows
 
         dml_losses, distill_losses = [], []
         for _ in range(batches_per_epoch):
-            idx = sample_batch(train_set, cfg.batch_size, rng)
+            idx = sample_batch(train_set, batch_size, rng)
             block = None if global_A is None else global_A.submatrix(idx)
+            X, y = train_set.inputs[idx], train_set.labels[idx]
             dml_loss, distill_loss, grads, spent, batch_floored = batch_step_gradients(
-                student, teacher, train_set.inputs[idx], train_set.labels[idx], cfg, weight, block
+                student, teacher, X, y, config, diffusion, weight, block
             )
             diffusion_seconds += spent
             floored.update(idx[list(batch_floored)].tolist())
-            student = sgd_step(student, grads, cfg.learning_rate)
+            student = sgd_step(student, grads, config["learning_rate"])
             dml_losses.append(dml_loss)
             distill_losses.append(distill_loss)
 
@@ -424,13 +380,13 @@ def train(
         test_embeds = embed_dataset(student, test_set)
         report = evaluate_batch(
             test_embeds,
-            ks=list(cfg.metric_ks),
-            kmeans_restarts=cfg.kmeans_restarts,
+            ks=list(config["recall_ks"]),
+            kmeans_restarts=config["kmeans_restarts"],
             seed=seed * 1000 + epoch,
-            density_distance=cfg.density_distance,
+            density_distance=config["density_distance"],
         )
         train_embeds = embed_dataset(student, train_set)
-        _, _, train_ratio = embedding_density(train_embeds, distance=cfg.density_distance)
+        _, _, train_ratio = embedding_density(train_embeds, distance=config["density_distance"])
         train_rho = spectral_decay(train_embeds)
         history.append(
             EpochRecord(

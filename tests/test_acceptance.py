@@ -40,8 +40,8 @@ def report(criterion: int, label: str, ok: bool, detail: str = ""):
 
 def run_task(mode: str, seed: int, flip: float = 0.0, scope: str = "batch"):
     config = CONFIG.with_overrides(distill_mode=mode, label_flip_ratio=flip, diffusion_scope=scope)
-    train_set, test_set = zero_shot_task(config.dataset_spec(seed), config["num_train_classes"])
-    return train(train_set, test_set, config.trainer_config(), seed=seed)
+    train_set, test_set = zero_shot_task(config, seed)
+    return train(train_set, test_set, config, seed=seed)
 
 
 @pytest.fixture(scope="module")

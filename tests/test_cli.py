@@ -253,6 +253,25 @@ def test_train_config_naming_diffusion_mode_exit_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_train_batch_the_train_classes_cannot_fill_exit_2(tmp_path, capsys, monkeypatch):
+    # 9 classes per batch from the default 8 train classes: refused before any run
+    def never(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "run_training", never)
+    cfg = tmp_path / "run.cfg"
+    text = default_config_text().replace("batch_size = 16", "batch_size = 18")
+    cfg.write_text(text.replace("out_dir = runs/latest", f"out_dir = {tmp_path / 'out'}"))
+    assert main(["train", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "ConfigError" and record["exit_code"] == 2
+    assert "field 'batch_size' must be <= 2 * num_train_classes = 16, got 18" in record["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_zero_lambda_history_matches_baseline_preset(tmp_path):
     cfg_a = tmp_path / "a.cfg"
     cfg_a.write_text(config_text(out_dir=str(tmp_path / "a_out"), distill_mode="none"))

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from diffdistill.config import (
     load_config,
     parse_config_text,
 )
+from diffdistill.training import generate_synthetic, zero_shot_task
 
 
 def test_default_text_parses_and_matches_defaults():
@@ -66,7 +68,9 @@ def test_overrides_reject_unknown():
         config.with_overrides(nonsense=1)
 
 
-@pytest.mark.parametrize("field, value", [("omega", 1.5), ("lambda", -1.0), ("epochs", 0)])
+@pytest.mark.parametrize(
+    "field, value", [("omega", 1.5), ("lambda", -1.0), ("epochs", 0), ("tau", 0.0), ("tau", float("nan"))]
+)
 def test_overrides_pass_the_schema_check(field, value):
     config = parse_config_text(default_config_text())
     with pytest.raises(ConfigError, match=f"override: field '{field}' .*, got {value!r}"):
@@ -77,14 +81,26 @@ def test_derived_objects(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(default_config_text())
     config = load_config(path)
-    spec = config.dataset_spec(run_seed=3)
-    assert spec.num_classes == DEFAULTS["num_train_classes"] + DEFAULTS["num_test_classes"]
-    assert spec.seed == DEFAULTS["data_seed"] + 3
-    trainer = config.trainer_config()
-    assert trainer.distill_weight == DEFAULTS["lambda"]
-    assert trainer.diffusion.omega == DEFAULTS["omega"]
-    baseline = config.with_overrides(distill_mode="none").trainer_config()
-    assert baseline.distill_mode == "none"
+    # 8 + 8 classes of 12 rows in 16 dimensions, spread 0.15, seed data_seed 7 + run seed 3
+    full = generate_synthetic(16, 12, 16, 0.15, 10)
+    train_set, test_set = zero_shot_task(config, 3)
+    np.testing.assert_array_equal(np.concatenate([train_set.inputs, test_set.inputs]), full.inputs)
+    np.testing.assert_array_equal(np.concatenate([train_set.labels, test_set.labels]), full.labels)
+    assert set(train_set.labels.tolist()) == set(range(8))
+    assert config.diffusion_params().omega == DEFAULTS["omega"]
+
+
+def test_batch_the_train_classes_cannot_fill_is_rejected():
+    # a batch draws batch_size / 2 distinct train classes
+    text = default_config_text().replace("batch_size = 16", "batch_size = 18")
+    with pytest.raises(ConfigError, match=r"<config>: field 'batch_size' .* = 16, got 18"):
+        parse_config_text(text)
+    config = parse_config_text(default_config_text())
+    with pytest.raises(ConfigError, match=r"override: field 'batch_size' .* = 16, got 18"):
+        config.with_overrides(batch_size=18)
+    with pytest.raises(ConfigError, match=r"override: field 'batch_size' .* = 14, got 16"):
+        config.with_overrides(num_train_classes=7)
+    assert config.with_overrides(batch_size=14, num_train_classes=7)["batch_size"] == 14
 
 
 def _positive_floats():
@@ -139,6 +155,10 @@ def test_canonical_config_text_round_trips(values):
     for key, value in values.items():
         _check_value(key, value, "")
     text = "\n".join(f"{key} = {_canonical_value(value)}" for key, value in values.items())
+    if values["batch_size"] > 2 * values["num_train_classes"]:
+        with pytest.raises(ConfigError, match="batch_size"):
+            parse_config_text(text)
+        return
     config = parse_config_text(text)
     assert config.values == values
     assert config.config_hash() == RunConfig(values=values).config_hash()
