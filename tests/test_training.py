@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffdistill import diffusion, training
-from diffdistill.config import default_config_text, parse_config_text
+from diffdistill.config import ConfigError, default_config_text, parse_config_text
 from diffdistill.distill import psd_loss
 from diffdistill.embeddings import cosine_similarity_matrix, normalize_rows
 from diffdistill.errors import InsufficientClasses, NotConverged, NoValidPairs
@@ -341,6 +341,14 @@ def test_combined_gradient_matches_finite_differences():
 
 # ---------------------------------------------------------------------------
 # training loop behavior
+
+
+@pytest.mark.parametrize("field, value", [("distill_weight", -1.0), ("epochs", 0)])
+def test_trainer_config_rejects_bad_schedule(field, value):
+    # the distillation weight of the schedule is the config's lambda
+    key = {"distill_weight": "lambda"}.get(field, field)
+    with pytest.raises(ConfigError, match=f"field '{key}'"):
+        small_config(**{key: value})
 
 
 def test_train_deterministic():
