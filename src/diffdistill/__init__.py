@@ -23,7 +23,7 @@ from .distill import (
     dynamic_weight,
     psd_grad,
     psd_loss,
-    row_softmax,
+    soften,
 )
 from .embeddings import (
     EmbeddingBatch,

@@ -24,7 +24,7 @@ from .diffusion import (
     refine_similarity,
     refinement_objective,
 )
-from .distill import psd_grad, psd_loss, row_softmax
+from .distill import psd_grad, psd_loss, soften
 from .embeddings import EmbeddingBatch, cosine_similarity_matrix, normalize_rows, top_neighbors
 from .errors import DiffDistillError, KTooLarge
 from .io import (
@@ -224,6 +224,8 @@ def cmd_train(args) -> int:
 
 def cmd_diffuse(args) -> int:
     params = DiffusionParams(omega=args.omega, degree_epsilon=args.degree_epsilon)
+    if args.neighbors < 0:
+        raise CliValidationError(f"neighbors must be >= 0, got {args.neighbors}")
     table = read_embeddings_auto(args.embeddings)
     batch_all = _normalized_batch(table)
     n = batch_all.n
@@ -333,7 +335,7 @@ def _distill_trial(rng):
     V = rng.standard_normal((n, d)) * float(rng.uniform(0.5, 2.0))
     target = rng.standard_normal((n, n))
     target = (target + target.T) / 2.0
-    analytic = psd_grad(V, row_softmax(target, tau), tau)
+    analytic = psd_grad(V, soften(target, tau), tau)
     fd = _fd_grad(
         lambda W: psd_loss(target, cosine_similarity_matrix(normalize_rows(W)), tau), V, 1e-6
     )

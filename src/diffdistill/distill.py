@@ -50,11 +50,6 @@ def soften(M, tau: float) -> SoftRows:
     return SoftRows(expd / total, scaled - np.log(total))
 
 
-def row_softmax(M, tau: float) -> np.ndarray:
-    """Row-stochastic softmax of M / tau with max-subtraction for stability."""
-    return soften(M, tau).probs
-
-
 def psd_loss(target, student_D, tau: float) -> float:
     """Batch-averaged KL between softened target rows and softened student rows.
 
@@ -79,13 +74,13 @@ def psd_grad(student_raw, target_soft, tau: float) -> np.ndarray:
 
     `student_raw` is the raw embedding matrix or its `row_geometry`.
     `target_soft` must be the already-softened (row-stochastic) target, i.e.
-    row_softmax(target_matrix, tau) for the same tau, or its SoftRows; the
-    teacher path carries no gradient.
+    soften(target_matrix, tau) for the same tau or its `probs`; the teacher
+    path carries no gradient.
     """
     student = row_geometry(student_raw)
     T = target_soft.probs if isinstance(target_soft, SoftRows) else np.asarray(target_soft, dtype=np.float64)
     n = student.Z.shape[0]
     if T.shape != (n, n):
         raise ValueError(f"target_soft must be ({n}, {n}), got {T.shape}")
-    P = row_softmax(student.cosine, tau)
+    P = soften(student.cosine, tau).probs
     return pair_grad_to_raw((P - T) / (n * tau), student.Z, student.norms)

@@ -23,14 +23,13 @@ EUCLIDEAN = "euclidean"
 COSINE = "cosine"  # cosine distance, 1 - z_i . z_j
 
 DENSITY_BLOCK_PAIRS = 4096  # ordered pairs whose rows `embedding_density` gathers at once
+SPECTRAL_EXCLUDE_TOP = 2  # largest singular values `spectral_decay` drops by default
 
 
 @dataclass(frozen=True)
 class MetricsReport:
     recall_at: dict[int, float]
     nmi: float
-    density_intra: float | None
-    density_inter: float | None
     density_ratio: float | None  # None when density is undefined for the batch
     spectral_decay: float
     meta: dict = field(default_factory=dict)
@@ -252,7 +251,7 @@ def embedding_density(
     return intra, inter, intra / inter
 
 
-def spectral_decay(batch: EmbeddingBatch | np.ndarray, exclude_top: int = 2) -> float:
+def spectral_decay(batch: EmbeddingBatch | np.ndarray, exclude_top: int = SPECTRAL_EXCLUDE_TOP) -> float:
     """KL(uniform || normalized singular spectrum) after dropping the top values."""
     Z = batch.vectors if isinstance(batch, EmbeddingBatch) else _as_matrix(batch)
     if exclude_top < 0:
@@ -279,27 +278,24 @@ def evaluate_batch(
     kmeans_restarts: int = 10,
     seed: int = 0,
     density_distance: str = EUCLIDEAN,
-    exclude_top: int = 2,
 ) -> MetricsReport:
     """Full metric suite on one embedding batch; k for k-means is the class count.
 
     Density needs >= 2 classes and a class with >= 2 samples; when the batch
-    cannot support it the density fields are None rather than an error, so a
+    cannot support it the density ratio is None rather than an error, so a
     report is still produced (e.g. for every-sample-its-own-class galleries).
     """
     recall = recall_at_k(batch, ks)
     n_classes = int(np.unique(batch.labels).size)
     assignments, unconverged = kmeans(batch, n_classes, restarts=kmeans_restarts, seed=seed)
     try:
-        intra, inter, ratio = embedding_density(batch, distance=density_distance)
+        ratio = embedding_density(batch, distance=density_distance)[2]
     except UndefinedDensity:
-        intra = inter = ratio = None
-    rho = spectral_decay(batch, exclude_top=exclude_top)
+        ratio = None
+    rho = spectral_decay(batch)
     return MetricsReport(
         recall_at=recall,
         nmi=nmi(assignments, batch.labels),
-        density_intra=intra,
-        density_inter=inter,
         density_ratio=ratio,
         spectral_decay=rho,
         meta={
@@ -309,6 +305,6 @@ def evaluate_batch(
             "kmeans_restarts": kmeans_restarts,
             "kmeans_unconverged_restarts": unconverged,
             "density_distance": density_distance,
-            "spectral_exclude_top": exclude_top,
+            "spectral_exclude_top": SPECTRAL_EXCLUDE_TOP,
         },
     )

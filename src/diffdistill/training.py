@@ -19,7 +19,7 @@ import numpy as np
 
 from .diffusion import DiffusionParams, refine_global, refine_similarity
 from .distill import dynamic_weight, psd_grad, psd_loss, soften
-from .embeddings import EmbeddingBatch, cosine_similarity_matrix, normalize_rows, pair_grad_to_raw, row_geometry
+from .embeddings import EmbeddingBatch, normalize_rows, pair_grad_to_raw, row_geometry
 from .errors import InsufficientClasses, NoValidPairs
 from .metrics import MetricsReport, embedding_density, evaluate_batch, spectral_decay
 
@@ -247,10 +247,6 @@ class TrainResult:
     degenerate_rows: dict[int, tuple[int, ...]]  # epoch -> the train rows its diffusion floored
     end: Checkpoint
 
-    @property
-    def params(self) -> EncoderParams:
-        return self.end.params
-
 
 def join_segments(parts: list[TrainResult]) -> TrainResult:
     """One run from its consecutive segments, each resumed from the one before."""
@@ -291,19 +287,15 @@ def batch_step_gradients(
     floored = ()
     mode, tau = config["distill_mode"], config["tau"]
     if mode != DISTILL_NONE and weight != 0.0:
-        if mode == DISTILL_PSD:
-            teacher_raw, _ = encoder_forward(teacher, X)
-            z_teacher = normalize_rows(teacher_raw)
-            target = cosine_similarity_matrix(z_teacher)
-        elif global_target is not None:
+        if global_target is not None:
             target = global_target
         else:
-            teacher_raw, _ = encoder_forward(teacher, X)
-            z_teacher = normalize_rows(teacher_raw)
-            started = time.perf_counter()
-            refined = refine_similarity(cosine_similarity_matrix(z_teacher), diffusion)
-            diff_seconds += time.perf_counter() - started
-            target, floored = refined.matrix, refined.degenerate_rows
+            target = row_geometry(encoder_forward(teacher, X)[0]).cosine  # the teacher's batch cosine
+            if mode == DISTILL_OBDSD:
+                started = time.perf_counter()
+                refined = refine_similarity(target, diffusion)
+                diff_seconds += time.perf_counter() - started
+                target, floored = refined.matrix, refined.degenerate_rows
         soft_target = soften(target, tau)
         distill_loss = psd_loss(soft_target, geometry.cosine, tau)
         d_raw = d_raw + weight * psd_grad(geometry, soft_target, tau)

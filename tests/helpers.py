@@ -1,4 +1,4 @@
-"""Central differences, parameter packing, readers and a binary writer that only the tests use."""
+"""Parameter packing, readers and a binary writer that only the tests use."""
 
 import csv
 import json
@@ -8,17 +8,6 @@ import numpy as np
 
 from diffdistill.io import BINARY_MAGIC, BINARY_VERSION, EmbeddingTable, FormatError
 from diffdistill.training import EncoderParams
-
-
-def fd_gradient(f, V, step=1e-6):
-    """Central-difference gradient of the scalar f at V, one entry at a time."""
-    grad = np.zeros_like(V)
-    for idx in np.ndindex(V.shape):
-        plus, minus = V.copy(), V.copy()
-        plus[idx] += step
-        minus[idx] -= step
-        grad[idx] = (f(plus) - f(minus)) / (2 * step)
-    return grad
 
 
 def flatten_params(params: EncoderParams) -> np.ndarray:

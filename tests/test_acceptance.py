@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from diffdistill.cli import main
+from diffdistill.cli import _fd_grad, main
 from diffdistill.config import default_config_text, parse_config_text
 from diffdistill.diffusion import (
     DiffusionParams,
@@ -21,12 +21,11 @@ from diffdistill.diffusion import (
     refinement_objective,
     transition_matrix,
 )
-from diffdistill.distill import psd_grad, psd_loss, row_softmax
+from diffdistill.distill import psd_grad, psd_loss, soften
 from diffdistill.embeddings import EmbeddingBatch, cosine_similarity_matrix, normalize_rows
 from diffdistill.metrics import embedding_density, nmi, recall_at_k, spectral_decay
 from diffdistill.training import train, zero_shot_task
 from epoch_timing import epoch_diffusion_seconds
-from helpers import fd_gradient
 
 CONFIG = parse_config_text(default_config_text())
 SEEDS = (0, 1, 2, 3, 4)
@@ -125,7 +124,7 @@ def test_criterion_2_fixed_point_is_objective_minimum():
         def J(M):
             return refinement_objective(M, graph.W, graph.degrees, D, omega)
 
-        max_grad = np.abs(fd_gradient(J, A, step)).max()
+        max_grad = np.abs(_fd_grad(J, A, step)).max()
         bound = 1e-6 * (1.0 + float(np.abs(D).max()))
         worst_grad_over_bound = max(worst_grad_over_bound, max_grad / bound)
         best = J(A)
@@ -154,8 +153,8 @@ def test_criterion_3_analytic_gradient_and_gradcheck(tmp_path):
         tau = float(rng.choice([0.5, 1.0, 2.0]))
         V = rng.standard_normal((n, d)) * float(rng.uniform(0.5, 2.0))
         target = rng.standard_normal((n, n))
-        analytic = psd_grad(V, row_softmax(target, tau), tau)
-        fd = fd_gradient(
+        analytic = psd_grad(V, soften(target, tau), tau)
+        fd = _fd_grad(
             lambda W: psd_loss(target, cosine_similarity_matrix(normalize_rows(W)), tau), V, step
         )
         worst = max(worst, float(np.abs(analytic - fd).max() / (np.abs(fd).max() + 1e-12)))
@@ -183,7 +182,7 @@ def test_criterion_4_limit_behavior():
     V = rng.standard_normal((5, 4))
     own_D = cosine_similarity_matrix(normalize_rows(V))
     self_loss = psd_loss(own_D, own_D, tau=1.0)
-    self_grad = float(np.abs(psd_grad(V, row_softmax(own_D, 1.0), 1.0)).max())
+    self_grad = float(np.abs(psd_grad(V, soften(own_D, 1.0), 1.0)).max())
 
     ok = omega_gap < 1e-7 and flat_loss < 1e-10 and self_loss == 0.0 and self_grad <= 1e-12
     report(

@@ -506,8 +506,8 @@ def test_train_global_scope_above_dense_bound_iterates(tmp_path, monkeypatch):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config_text(diffusion_scope="global", seeds="0", out_dir=str(tmp_path / "out")))
     n = SMALL_TRAIN_ROWS
-    real = training.cosine_similarity_matrix
-    monkeypatch.setattr(training, "cosine_similarity_matrix", lambda z: refuse_dense() if len(z) >= n else real(z))
+    real = training.row_geometry  # it also passes RowGeometry objects through: size those by .Z
+    monkeypatch.setattr(training, "row_geometry", lambda v: refuse_dense() if len(getattr(v, "Z", v)) >= n else real(v))
     above_dense_bound(monkeypatch, n)
     assert main(["train", str(cfg)]) == 0
     run = read_json(tmp_path / "out" / "run_seed0.json")
@@ -522,6 +522,23 @@ def test_diffuse_nonpositive_degree_epsilon_exit_2(tmp_path, capsys, epsilon):
                  f"--degree-epsilon={epsilon}", "--out-dir", str(tmp_path / "out")]) == 2
     assert "degree_epsilon" in json.loads(capsys.readouterr().err)["message"]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("neighbors", ["-1", "-3"])
+def test_diffuse_negative_neighbors_exit_2(tmp_path, capsys, neighbors):
+    write_table(tmp_path / "emb.csv", np.random.default_rng(4).standard_normal((10, 3)), np.arange(10) // 2)
+    assert main(["diffuse", str(tmp_path / "emb.csv"), "--omega", "0.5", "--neighbors", neighbors,
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "neighbors" in json.loads(err[0])["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_diffuse_zero_neighbors_writes_no_neighbor_file(tmp_path):
+    write_table(tmp_path / "emb.csv", np.random.default_rng(4).standard_normal((10, 3)), np.arange(10) // 2)
+    assert main(["diffuse", str(tmp_path / "emb.csv"), "--omega", "0.5", "--neighbors", "0",
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    assert sorted(path.name for path in (tmp_path / "out").iterdir()) == ["refined_similarity.csv"]
 
 
 def test_diffuse_zero_row_exit_3(tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from diffdistill import diffusion, embeddings
 
+from diffdistill.cli import _fd_grad
 from diffdistill.diffusion import (
     DiffusionParams,
     build_affinity_batch,
@@ -25,8 +26,6 @@ from diffdistill.embeddings import (
     normalize_rows,
 )
 from diffdistill.errors import DegenerateGraph, NotConverged
-from epoch_timing import epoch_diffusion_seconds
-from helpers import fd_gradient
 
 PARAMS = DiffusionParams()
 
@@ -470,7 +469,7 @@ def test_objective_stationary_and_minimal_at_diffusion_output():
         def J(M):
             return refinement_objective(M, graph.W, graph.degrees, D, omega)
 
-        max_grad = np.abs(fd_gradient(J, A, step)).max()
+        max_grad = np.abs(_fd_grad(J, A, step)).max()
         assert max_grad <= 1e-6 * (1.0 + np.abs(D).max())
 
         best = J(A)
@@ -484,18 +483,3 @@ def test_objective_stationary_and_minimal_at_diffusion_output():
 def test_objective_rejects_nonpositive_degrees():
     with pytest.raises(DegenerateGraph):
         refinement_objective(np.eye(2), np.zeros((2, 2)), np.zeros(2), np.eye(2), 0.5)
-
-
-# ---------------------------------------------------------------------------
-# per-epoch cost scales linearly in dataset size
-
-
-def test_epoch_diffusion_time_scales_linearly():
-    params = DiffusionParams(omega=0.5)
-    sizes = [2048, 4096, 8192]
-    times = epoch_diffusion_seconds(
-        [(n, 32, None) for n in sizes], dim=16, params=params, repeats=9, seed=0
-    )
-    scale = sum(t * s for t, s in zip(times, sizes)) / sum(s * s for s in sizes)
-    for size, t in zip(sizes, times):
-        assert abs(t - scale * size) / (scale * size) < 0.25, (sizes, times)

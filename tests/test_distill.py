@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from diffdistill.cli import _fd_grad
 from diffdistill.diffusion import DiffusionParams, build_affinity_batch, diffuse_closed_form, transition_matrix
-from diffdistill.distill import dynamic_weight, psd_grad, psd_loss, row_softmax
+from diffdistill.distill import dynamic_weight, psd_grad, psd_loss, soften
 from diffdistill.embeddings import EmbeddingBatch, cosine_similarity_matrix, normalize_rows
-from helpers import fd_gradient
 
 
 def pair_attention_factor(zi, zj) -> float:
@@ -22,19 +22,19 @@ def pair_attention_factor(zi, zj) -> float:
 
 def test_softmax_equal_entries_uniform():
     for tau in (0.3, 1.0, 7.0):
-        P = row_softmax(np.full((2, 5), 1.7), tau)
+        P = soften(np.full((2, 5), 1.7), tau).probs
         np.testing.assert_allclose(P, np.full((2, 5), 0.2), atol=1e-15)
 
 
 def test_softmax_large_temperature_flattens():
     rng = np.random.default_rng(0)
     M = rng.standard_normal((4, 6))
-    P = row_softmax(M, 1e6)
+    P = soften(M, 1e6).probs
     np.testing.assert_allclose(P, np.full((4, 6), 1 / 6), atol=1e-6)
 
 
 def test_softmax_two_entry_row_known_value():
-    P = row_softmax(np.array([[1.0, 0.0]]), 1.0)
+    P = soften(np.array([[1.0, 0.0]]), 1.0).probs
     e = np.e
     np.testing.assert_allclose(P, [[e / (e + 1), 1 / (e + 1)]], atol=1e-12)
     assert P[0, 0] == pytest.approx(0.7311, abs=5e-5)
@@ -43,7 +43,7 @@ def test_softmax_two_entry_row_known_value():
 
 def test_softmax_rows_sum_to_one_and_positive():
     rng = np.random.default_rng(1)
-    P = row_softmax(rng.standard_normal((8, 8)) * 30, 0.5)
+    P = soften(rng.standard_normal((8, 8)) * 30, 0.5).probs
     np.testing.assert_allclose(P.sum(axis=1), np.ones(8), atol=1e-9)
     assert P.min() > 0
 
@@ -89,7 +89,7 @@ def test_psd_loss_nonnegative_zero_iff_matching_rows():
         assert loss >= 0.0
         if loss < 1e-15:
             np.testing.assert_allclose(
-                row_softmax(target, 1.0), row_softmax(student, 1.0), atol=1e-7
+                soften(target, 1.0).probs, soften(student, 1.0).probs, atol=1e-7
             )
     # shifting a row by a constant leaves its softmax unchanged -> loss 0
     target = rng.standard_normal((4, 4))
@@ -174,7 +174,7 @@ def test_grad_zero_when_target_is_own_soft_rows():
     rng = np.random.default_rng(8)
     V = rng.standard_normal((5, 4))
     D = cosine_similarity_matrix(normalize_rows(V))
-    grad = psd_grad(V, row_softmax(D, 1.0), 1.0)
+    grad = psd_grad(V, soften(D, 1.0), 1.0)
     assert np.abs(grad).max() <= 1e-12
 
 
@@ -218,12 +218,12 @@ def test_grad_matches_finite_differences_keystone():
         V = rng.standard_normal((n, d)) * float(rng.uniform(0.5, 2.0))
         target = rng.standard_normal((n, n))
         target = (target + target.T) / 2
-        analytic = psd_grad(V, row_softmax(target, tau), tau)
+        analytic = psd_grad(V, soften(target, tau), tau)
 
         def loss_of(Vx, target=target, tau=tau):
             return psd_loss(target, cosine_similarity_matrix(normalize_rows(Vx)), tau)
 
-        fd = fd_gradient(loss_of, V)
+        fd = _fd_grad(loss_of, V, 1e-6)
         rel = np.abs(analytic - fd).max() / (np.abs(fd).max() + 1e-12)
         assert rel < 1e-5, (n, d, tau, rel)
         checked += 1
@@ -236,9 +236,9 @@ def test_grad_includes_cross_anchor_terms():
     V = rng.standard_normal((5, 4))
     target = rng.standard_normal((5, 5))
     tau = 1.0
-    T = row_softmax(target, tau)
+    T = soften(target, tau).probs
     Z = normalize_rows(V)
-    P = row_softmax(cosine_similarity_matrix(Z), tau)
+    P = soften(cosine_similarity_matrix(Z), tau).probs
     G = (P - T) / (5 * tau)
     own_anchor_only = G @ Z
     radial = np.sum(own_anchor_only * Z, axis=1, keepdims=True)
@@ -247,7 +247,7 @@ def test_grad_includes_cross_anchor_terms():
     def loss_of(Vx):
         return psd_loss(target, cosine_similarity_matrix(normalize_rows(Vx)), tau)
 
-    fd = fd_gradient(loss_of, V)
+    fd = _fd_grad(loss_of, V, 1e-6)
     full = psd_grad(V, T, tau)
     assert np.abs(full - fd).max() / np.abs(fd).max() < 1e-5
     assert np.abs(truncated - fd).max() / np.abs(fd).max() > 1e-2
@@ -258,6 +258,6 @@ def test_grad_rows_tangent_to_student_directions():
     for _ in range(20):
         V = rng.standard_normal((6, 5)) * float(rng.uniform(0.5, 3.0))
         target = rng.standard_normal((6, 6))
-        grad = psd_grad(V, row_softmax(target, 1.0), 1.0)
+        grad = psd_grad(V, soften(target, 1.0), 1.0)
         Z = normalize_rows(V)
         assert np.abs(np.sum(grad * Z, axis=1)).max() < 1e-10

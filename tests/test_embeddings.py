@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from diffdistill.cli import _fd_grad
 from diffdistill.diffusion import mutual_knn
 from diffdistill.embeddings import (
     RANKING_BLOCK_ROWS,
@@ -11,7 +12,6 @@ from diffdistill.embeddings import (
     top_neighbors,
 )
 from diffdistill.errors import ZeroNormRow
-from helpers import fd_gradient
 
 
 def test_normalize_three_four_vector():
@@ -121,7 +121,7 @@ def test_jacobian_matches_finite_differences():
             U = W / np.linalg.norm(W, axis=1, keepdims=True)
             return float(np.sum(G * (U @ U.T)))
 
-        fd = fd_gradient(loss, V, step)
+        fd = _fd_grad(loss, V, step)
         rel = np.abs(analytic - fd).max() / (np.abs(fd).max() + 1e-12)
         assert rel < 1e-6
 

@@ -507,11 +507,11 @@ def test_evaluate_batch_report_fields_and_meta():
     report = evaluate_batch(batch, ks=[1, 2, 4], seed=3)
     assert set(report.recall_at) == {1, 2, 4}
     assert 0.0 <= report.nmi <= 1.0
-    assert report.density_ratio == pytest.approx(
-        report.density_intra / report.density_inter
-    )
+    assert report.density_ratio == embedding_density(batch)[2]
+    assert report.spectral_decay == spectral_decay(batch, exclude_top=2)
     payload = report.to_json_dict()
     assert payload["meta"]["density_distance"] == EUCLIDEAN
+    assert payload["meta"]["spectral_exclude_top"] == 2
     assert payload["meta"]["kmeans_unconverged_restarts"] == 0
     assert payload["meta"]["n"] == 20
     assert list(payload["recall"]) == ["1", "2", "4"]

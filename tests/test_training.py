@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffdistill import diffusion, training
+from diffdistill.cli import _fd_grad
 from diffdistill.config import ConfigError, default_config_text, parse_config_text
 from diffdistill.distill import psd_loss
 from diffdistill.embeddings import cosine_similarity_matrix, normalize_rows
@@ -29,7 +30,7 @@ from diffdistill.training import (
     train,
     zero_shot_task,
 )
-from helpers import fd_gradient, flatten_params, unflatten_params
+from helpers import flatten_params, unflatten_params
 
 # 8 train and 8 test classes of 12 rows in 16 dimensions, data seed 7: run seed 0
 # draws generate_synthetic(*SPEC_DATA)
@@ -236,7 +237,7 @@ def test_baseline_grad_matches_finite_differences():
         labels[-1] = 1  # and at least one negative pair
         margin = float(rng.uniform(0.2, 0.7))
         _, analytic = baseline_contrastive_loss_and_grad(V, labels, margin)
-        fd = fd_gradient(lambda W: baseline_contrastive_loss_and_grad(W, labels, margin)[0], V, step)
+        fd = _fd_grad(lambda W: baseline_contrastive_loss_and_grad(W, labels, margin)[0], V, step)
         rel = np.abs(analytic - fd).max() / (np.abs(fd).max() + 1e-12)
         assert rel < 1e-5
 
@@ -306,7 +307,7 @@ def test_encoder_backward_matches_finite_differences():
         def loss(theta):
             return float(np.sum(encoder_forward(unflatten_params(theta, params), X)[0] ** 2))
 
-        fd = fd_gradient(loss, flatten_params(params), step)
+        fd = _fd_grad(loss, flatten_params(params), step)
         rel = np.abs(flat_analytic - fd).max() / (np.abs(fd).max() + 1e-12)
         assert rel < 1e-6
 
@@ -334,7 +335,7 @@ def test_combined_gradient_matches_finite_differences():
         student_D = cosine_similarity_matrix(normalize_rows(V))
         return dml + weight * psd_loss(teacher_target, student_D, cfg["tau"])
 
-    fd = fd_gradient(scalar_loss, flatten_params(params), step)
+    fd = _fd_grad(scalar_loss, flatten_params(params), step)
     rel = np.abs(analytic - fd).max() / (np.abs(fd).max() + 1e-12)
     assert rel < 1e-4
 
@@ -356,7 +357,7 @@ def test_train_deterministic():
     cfg = small_config()
     a = train(train_set, test_set, cfg, seed=0)
     b = train(train_set, test_set, cfg, seed=0)
-    np.testing.assert_array_equal(flatten_params(a.params), flatten_params(b.params))
+    np.testing.assert_array_equal(flatten_params(a.end.params), flatten_params(b.end.params))
     assert [r.test_report.recall_at[1] for r in a.history] == [
         r.test_report.recall_at[1] for r in b.history
     ]
@@ -366,7 +367,7 @@ def test_zero_weight_bitwise_equals_baseline():
     train_set, test_set = zero_shot_task(SPEC, 0)
     base = train(train_set, test_set, small_config(distill_mode="none"), seed=1)
     zero = train(train_set, test_set, small_config(**{"lambda": 0.0}), seed=1)
-    np.testing.assert_array_equal(flatten_params(base.params), flatten_params(zero.params))
+    np.testing.assert_array_equal(flatten_params(base.end.params), flatten_params(zero.end.params))
     for ra, rb in zip(base.history, zero.history):
         assert ra.test_report.recall_at == rb.test_report.recall_at
         assert ra.dml_loss == rb.dml_loss
@@ -379,7 +380,7 @@ def test_zero_learning_rate_keeps_parameters():
     rng = np.random.default_rng(3)
     reference = init_encoder(rng, 16, cfg["hidden_dim"], cfg["embed_dim"])
     result = train(train_set, test_set, cfg, seed=3)
-    np.testing.assert_array_equal(flatten_params(result.params), flatten_params(reference))
+    np.testing.assert_array_equal(flatten_params(result.end.params), flatten_params(reference))
     assert len(result.history) == 1
 
 
@@ -516,7 +517,7 @@ def test_split_run_equals_the_unsplit_run_bitwise(setting, epochs, cuts, seed):
     whole = train(train_set, test_set, cfg, seed)
     split = train_in_segments(train_set, test_set, cfg, seed, stops)
     assert split.history == whole.history
-    np.testing.assert_array_equal(flatten_params(split.params), flatten_params(whole.params))
+    np.testing.assert_array_equal(flatten_params(split.end.params), flatten_params(whole.end.params))
     assert split.degenerate_rows == whole.degenerate_rows
     for final in ("final_train", "final_test"):
         np.testing.assert_array_equal(getattr(split, final).vectors, getattr(whole, final).vectors)
