@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, canonical_hash, default_config_text, load_config
+from .config import RunConfig, canonical_hash, default_config_text, load_config
 from .diffusion import (
     DiffusionParams,
     build_affinity_batch,
@@ -29,7 +29,6 @@ from .embeddings import EmbeddingBatch, cosine_similarity_matrix, normalize_rows
 from .errors import DiffDistillError, KTooLarge
 from .io import (
     EmbeddingTable,
-    FormatError,
     affinity_cpus,
     fork_chains,
     read_embeddings_auto,
@@ -493,8 +492,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--seed", type=int, default=None, help="override the config seed list")
+    def add_common(p, seed=True):
+        if seed:
+            p.add_argument("--seed", type=int, default=None, help="override the config seed list")
         p.add_argument("--out-dir", default=None, help="output directory")
 
     p_train = sub.add_parser("train", help="run the self-distillation training loop")
@@ -513,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_diff.add_argument("--batch-size", type=int, default=32, dest="batch_size")
     p_diff.add_argument("--degree-epsilon", type=float, default=1e-8, dest="degree_epsilon")
     p_diff.add_argument("--neighbors", type=int, default=0, help="also write top-N neighbor lists")
-    add_common(p_diff)
+    add_common(p_diff, seed=False)  # diffusion draws no random numbers
     p_diff.set_defaults(func=cmd_diffuse)
 
     p_eval = sub.add_parser("eval", help="compute the embedding-space metric suite")
@@ -548,11 +548,9 @@ def main(argv=None) -> int:
         args.out_dir = "."
     try:
         return args.func(args)
-    except (ConfigError, FormatError, CliValidationError, KTooLarge, ValueError) as exc:
+    except (KTooLarge, ValueError) as exc:  # ConfigError, FormatError, CliValidationError too
         return _error_record(exc, EXIT_VALIDATION)
-    except DiffDistillError as exc:
-        return _error_record(exc, EXIT_NUMERICAL)
-    except np.linalg.LinAlgError as exc:
+    except (DiffDistillError, np.linalg.LinAlgError) as exc:
         return _error_record(exc, EXIT_NUMERICAL)
     except OSError as exc:
         return _error_record(exc, EXIT_IO)

@@ -59,8 +59,6 @@ _SCHEMA: dict[str, tuple] = {
     "label_flip_ratio": (float, 0.0, lambda v: 0 <= v <= 0.5 or "must lie in [0, 0.5]"),
     "data_seed": (int, 7, None),
     "omega": (float, 0.5, lambda v: 0 < v < 1 or "must lie in (0, 1)"),
-    "max_iter": (int, 500, lambda v: v >= 1 or "must be >= 1"),
-    "tol": (float, 1e-10, lambda v: v > 0 or "must be positive"),
     "degree_epsilon": (float, 1e-8, lambda v: v > 0 or "must be positive"),
     "knn_k": (int, 50, lambda v: v >= 1 or "must be >= 1"),
     "distill_mode": (
@@ -141,13 +139,7 @@ class RunConfig:
         return canonical_hash(self.values)
 
     def diffusion_params(self) -> DiffusionParams:
-        v = self.values
-        return DiffusionParams(
-            omega=v["omega"],
-            max_iter=v["max_iter"],
-            tol=v["tol"],
-            degree_epsilon=v["degree_epsilon"],
-        )
+        return DiffusionParams(omega=self.values["omega"], degree_epsilon=self.values["degree_epsilon"])
 
     def with_overrides(self, **overrides) -> "RunConfig":
         """A copy with `overrides` bound; each value passes its field's schema check."""

@@ -18,6 +18,7 @@ plus ((1-omega)/omega) ||A - D||_F^2 anchoring A to the initial similarities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -36,21 +37,19 @@ MAX_DENSE_ROWS = 6144
 class DiffusionParams:
     """Random-walk settings. omega in (0,1) blends propagated vs. initial similarity.
 
-    max_iter and tol bound the fixed-point iteration (`diffuse_iterative`).
+    tol stops the fixed-point iteration (`diffuse_iterative`) once the max-abs
+    update is below it; its sweep budget follows from omega, tol and F0.
     """
 
     omega: float = 0.5
-    max_iter: int = 500
     tol: float = 1e-10
     degree_epsilon: float = 1e-8
 
     def __post_init__(self):
         if not 0.0 < self.omega < 1.0:
             raise ValueError(f"omega must lie in (0, 1), got {self.omega}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be positive")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if not self.degree_epsilon > 0:
             raise ValueError(f"degree_epsilon must be positive, got {self.degree_epsilon}")
 
@@ -81,7 +80,6 @@ class DiffusionResult:
 
     matrix: np.ndarray | FactoredSimilarity
     iterations: int
-    converged: bool
     degenerate_rows: tuple[int, ...] = field(default=())
 
 
@@ -178,19 +176,27 @@ def diffuse_iterative(S, F0: np.ndarray, params: DiffusionParams) -> DiffusionRe
     """Iterate F <- omega S F + (1 - omega) F0 until the max-abs update < tol.
 
     `S` is a dense n x n transition or a matvec F -> S F (`padded_matvec`).
-    Raises NotConverged (carrying the best iterate) when max_iter is hit.
+    Floored degrees keep ||S||_2 <= 1, so sweep k moves F by at most
+    2 omega^k ||F0||_F: the budget is the first k where that is below tol,
+    plus one sweep for rounding (taken in logs of F0 over its largest entry,
+    so no finite F0 overflows it). Spending it raises NotConverged, carrying
+    the last iterate; finite inputs do so only with a tol below rounding.
     """
     matvec = S if callable(S) else S.__matmul__
     omega = params.omega
     F = np.array(F0, dtype=np.float64)
-    base = (1.0 - omega) * np.asarray(F0, dtype=np.float64)
-    for iteration in range(1, params.max_iter + 1):
+    base = (1.0 - omega) * F
+    budget, scale = 1, float(np.max(np.abs(F), initial=0.0))
+    if 0.0 < scale < math.inf:  # else F0 is zero (sweep 1 converges) or not finite
+        log_bound = math.log(scale) + math.log(2.0 * float(np.linalg.norm(F / scale)))
+        budget = max(math.floor((math.log(params.tol) - log_bound) / math.log(omega)) + 2, 1)
+    for iteration in range(1, budget + 1):
         new = omega * matvec(F) + base
         delta = float(np.max(np.abs(new - F))) if F.size else 0.0
         F = new
         if delta < params.tol:
-            return DiffusionResult(matrix=F, iterations=iteration, converged=True)
-    raise NotConverged(DiffusionResult(matrix=F, iterations=params.max_iter, converged=False), params.tol)
+            return DiffusionResult(matrix=F, iterations=iteration)
+    raise NotConverged(DiffusionResult(matrix=F, iterations=budget), params.tol)
 
 
 def _diffuse(graph: AffinityGraph, F0: np.ndarray, params: DiffusionParams) -> DiffusionResult:
@@ -204,7 +210,7 @@ def _diffuse(graph: AffinityGraph, F0: np.ndarray, params: DiffusionParams) -> D
     if graph.neighbors is not None and S.shape[0] > MAX_DENSE_ROWS:
         result = diffuse_iterative(padded_matvec(S, graph.neighbors), F0, params)
     else:
-        result = DiffusionResult(diffuse_closed_form(S, F0, params.omega, graph.neighbors), 0, True)
+        result = DiffusionResult(diffuse_closed_form(S, F0, params.omega, graph.neighbors), 0)
     return replace(result, degenerate_rows=graph.degenerate_rows)
 
 

@@ -37,11 +37,14 @@ class SingularSystem(DiffDistillError):
 
 
 class NotConverged(DiffDistillError):
-    """Iterative diffusion hit its iteration cap; carries the best iterate."""
+    """Iterative diffusion spent its sweep budget; carries the last iterate and the sweeps run.
+
+    The budget is one sweep past the first k with 2 omega^k ||F0||_F < tol.
+    """
 
     def __init__(self, result, tol: float):
         super().__init__(
-            f"diffusion did not reach tol={tol:.3e} within {result.iterations} iterations"
+            f"diffusion did not reach tol={tol:.3e} within its budget of {result.iterations} sweeps"
         )
         self.result = result
 

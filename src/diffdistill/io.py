@@ -3,9 +3,10 @@
 Text embeddings are CSV with header ``id,label,e0,...,e{d-1}`` (UTF-8, string
 ids, nonnegative integer labels, decimal float coordinates). Binary embeddings
 are magic ``OBSD``, version u16 LE, u32 n, u32 d, n*d float32 LE row-major,
-then n uint32 labels. Readers skip leading ``#`` comment lines in CSVs; CSV
-artifacts written by the CLI carry a ``# config_hash=...`` first line. All
-writes stream into a temp file that is renamed over the target on success.
+then n uint32 labels, and nothing after them. Readers skip leading ``#``
+comment lines in CSVs; CSV artifacts written by the CLI carry a
+``# config_hash=...`` first line. All writes stream into a temp file that is
+renamed over the target on success.
 """
 
 from __future__ import annotations
@@ -141,8 +142,9 @@ def read_embeddings_binary(path: str | Path) -> EmbeddingTable:
     if version != BINARY_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
     need = head + 4 * n * d + 4 * n
-    if len(blob) < need:
-        raise FormatError(f"{path}: truncated payload (need {need} bytes, have {len(blob)})")
+    if len(blob) != need:
+        problem = "truncated payload" if len(blob) < need else "trailing bytes after the labels"
+        raise FormatError(f"{path}: {problem} (need {need} bytes, have {len(blob)})")
     vectors = np.frombuffer(blob, dtype="<f4", count=n * d, offset=head).reshape(n, d)
     labels = np.frombuffer(blob, dtype="<u4", count=n, offset=head + 4 * n * d)
     return EmbeddingTable(

@@ -168,10 +168,6 @@ def sgd_step(params: EncoderParams, grads, lr: float) -> EncoderParams:
     )
 
 
-def clone_params(params: EncoderParams) -> EncoderParams:
-    return EncoderParams(layers=tuple((W.copy(), b.copy()) for W, b in params.layers))
-
-
 def embed_dataset(params: EncoderParams, dataset: Dataset) -> EmbeddingBatch:
     raw, _ = encoder_forward(params, dataset.inputs)
     return EmbeddingBatch(normalize_rows(raw), dataset.labels)
@@ -330,7 +326,7 @@ def train(
     stop = epochs if stop is None else stop
     if not start < stop <= epochs:
         raise ValueError(f"epochs {start}..{stop} are not a segment of 0..{epochs}")
-    teacher = clone_params(student)
+    teacher = student  # frozen, and sgd_step builds new arrays: nothing writes it in place
     batches_per_epoch = max(1, train_set.n // batch_size)
     history: list[EpochRecord] = []
     diffusion_seconds = 0.0
@@ -365,7 +361,7 @@ def train(
             dml_losses.append(dml_loss)
             distill_losses.append(distill_loss)
 
-        teacher = clone_params(student)
+        teacher = student
         if floored:
             degenerate_rows[epoch] = tuple(sorted(floored))
 

@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 from diffdistill import cli, diffusion, embeddings, io, training
 from diffdistill.cli import main
 from diffdistill.config import default_config_text
-from diffdistill.diffusion import DiffusionParams
+from diffdistill.diffusion import DiffusionParams, DiffusionResult
 from diffdistill.embeddings import EmbeddingBatch, normalize_rows
-from diffdistill.errors import SingularSystem
+from diffdistill.errors import NotConverged, SingularSystem
 from diffdistill.io import EmbeddingTable, read_embeddings_csv, write_embeddings_csv
 from diffdistill.metrics import evaluate_batch
 from helpers import read_json, read_similarity_csv, write_embeddings_binary
@@ -103,11 +103,11 @@ MASK_DIFFUSION_SECONDS = re.compile(rb'"diffusion_seconds": [0-9.e+-]+')
 # sha256 of each artifact of `train <default config> --seed 0 --out-dir out`, with
 # every `"diffusion_seconds": <value>` cut out; pins the bytes across refactors
 GOLDEN_DEFAULT_TRAIN = {
-    "embeddings_test_seed0.csv": "927f3748b429b0dafb26de3dcf64b26899327e568c6f83b060ed1efd6fc3f8ad",
-    "embeddings_train_seed0.csv": "2794e6301bc90a41590dd58c281a7dfe095609d3fd9a18476aea402f7effe92c",
-    "history_seed0.csv": "de88d7c9fe704a8cd2a4328129fe04c77d154b059d37d56b3f60da1b4d63bd66",
-    "run_seed0.json": "f57b66ad58c2aab326a9861af3fc938724596583cecf2c7d1bfa7fc256fbad0d",
-    "summary.json": "1d045a66b263ff007e63edf73c65a994a1b47e8491f68ef246c8ee7d532d3af7",
+    "embeddings_test_seed0.csv": "5afe9acf397afb9b82159e943000f4c5c737679d6f1b95aab5c200f71ee867eb",
+    "embeddings_train_seed0.csv": "d89ce6b7f13ddb5f002bc15d379f1b714c213c0d3002cc6d90b0aa319b581b40",
+    "history_seed0.csv": "28cbde69c3adf3098f993b38adbac9fd6191f804a008ceb438112b9e0c4b6ff4",
+    "run_seed0.json": "8c6a936882cdfd7731bd2a8ba3a0aff0a621fd9d5ccc09c52a0c3177e5d11b9a",
+    "summary.json": "a5bda3157ec472d3329277678f016fea41a848135986af2a9161be2b50d57bd7",
 }
 
 
@@ -231,9 +231,13 @@ def test_train_and_sweep_report_floored_rows_once_per_seed(tmp_path, monkeypatch
 
 
 def test_train_worker_numerical_failure_exit_3_one_json_line(tmp_path, monkeypatch, capfd):
-    # above the dense bound the global solve iterates, and one sweep is too few
+    # above the dense bound the global solve iterates; forked workers inherit a fixed point that fails
+    def not_converged(S, F0, params):
+        raise NotConverged(DiffusionResult(np.asarray(F0), 1), params.tol)
+
     above_dense_bound(monkeypatch, SMALL_TRAIN_ROWS)
-    failing = {"diffusion_scope": "global", "max_iter": 1}
+    monkeypatch.setattr(diffusion, "diffuse_iterative", not_converged)
+    failing = {"diffusion_scope": "global"}
     runs = [run_on_cpus(tmp_path, monkeypatch, capfd, cpus, **failing) for cpus in (1, 2)]
     for code, captured, _ in runs:
         assert code == 3
@@ -245,12 +249,13 @@ def test_train_worker_numerical_failure_exit_3_one_json_line(tmp_path, monkeypat
 
 
 def test_train_config_naming_diffusion_mode_exit_2(tmp_path, capsys):
-    # no setting chooses the diffusion solver: a config naming one is refused
+    # no setting chooses the diffusion solver or bounds its sweeps: a config naming one is refused
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(config_text(out_dir=str(tmp_path / "out")) + "diffusion_mode = closed_form\n")
-    assert main(["train", str(cfg)]) == 2
-    assert "unknown config field 'diffusion_mode'" in json.loads(capsys.readouterr().err)["message"]
-    assert not (tmp_path / "out").exists()
+    for field, value in (("diffusion_mode", "closed_form"), ("max_iter", "500"), ("tol", "1e-10")):
+        cfg.write_text(config_text(out_dir=str(tmp_path / "out")) + f"{field} = {value}\n")
+        assert main(["train", str(cfg)]) == 2
+        assert f"unknown config field {field!r}" in json.loads(capsys.readouterr().err)["message"]
+        assert not (tmp_path / "out").exists()
 
 
 def test_train_batch_the_train_classes_cannot_fill_exit_2(tmp_path, capsys, monkeypatch):
@@ -486,20 +491,24 @@ def above_dense_bound(monkeypatch, n):
 
 
 def test_diffuse_global_above_dense_bound_iterates(tmp_path, monkeypatch):
-    n, d, omega = 60, 2, 0.5
+    n, d, omegas = 60, 2, (0.5, 0.99)
     angles = np.linspace(0.0, 6.0, n)
     write_table(tmp_path / "emb.csv", np.column_stack([np.cos(angles), np.sin(angles)]), np.zeros(n, dtype=int))
-    args = ["diffuse", str(tmp_path / "emb.csv"), "--omega", str(omega), "--mode", "global", "--knn-k", "4"]
-    assert main([*args, "--out-dir", str(tmp_path / "dense")]) == 0
+
+    def run(omega, solve):
+        args = ["diffuse", str(tmp_path / "emb.csv"), "--omega", str(omega), "--mode", "global", "--knn-k", "4"]
+        assert main([*args, "--out-dir", str(tmp_path / solve / str(omega))]) == 0
+        return read_similarity_csv(tmp_path / solve / str(omega) / "refined_similarity.csv")
+
+    dense = {omega: run(omega, "dense") for omega in omegas}
     monkeypatch.setattr(cli, "cosine_similarity_matrix", refuse_dense)
     above_dense_bound(monkeypatch, n)
-    assert main([*args, "--out-dir", str(tmp_path / "out")]) == 0
-    dense = read_similarity_csv(tmp_path / "dense" / "refined_similarity.csv")
-    iterated = read_similarity_csv(tmp_path / "out" / "refined_similarity.csv")
-    assert dense.keys() == iterated.keys() and len(dense) == n * n
-    tol = DiffusionParams().tol  # diffuse runs the default solver settings
-    bound = tol * omega / (1.0 - omega) * np.sqrt(n * d) + 1e-12
-    assert max(abs(iterated[key] - dense[key]) for key in dense) <= bound
+    for omega in omegas:
+        iterated = run(omega, "iterated")
+        assert dense[omega].keys() == iterated.keys() and len(iterated) == n * n
+        tol = DiffusionParams().tol  # diffuse runs the library's tol
+        bound = tol * omega / (1.0 - omega) * np.sqrt(n * d) + 1e-12
+        assert max(abs(iterated[key] - dense[omega][key]) for key in iterated) <= bound, omega
 
 
 def test_train_global_scope_above_dense_bound_iterates(tmp_path, monkeypatch):
@@ -531,6 +540,17 @@ def test_diffuse_negative_neighbors_exit_2(tmp_path, capsys, neighbors):
                  "--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "neighbors" in json.loads(err[0])["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_diffuse_has_no_seed_flag(tmp_path, capsys):
+    # diffusion draws no random numbers, so `--seed` is an argparse error, not a flag that does nothing
+    write_table(tmp_path / "emb.csv", np.random.default_rng(4).standard_normal((10, 3)), np.arange(10) // 2)
+    with pytest.raises(SystemExit) as info:
+        main(["diffuse", str(tmp_path / "emb.csv"), "--omega", "0.5", "--seed", "123",
+              "--out-dir", str(tmp_path / "out")])
+    assert info.value.code == 2
+    assert "--seed" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -716,6 +736,16 @@ def test_cli_fails_closed_on_every_obsd_truncation(tmp_path):
     for size in range(len(blob)):
         path.write_bytes(blob[:size])
         assert_fails_closed(path, tmp_path / "out")
+
+
+def test_diffuse_obsd_with_trailing_bytes_exit_2(tmp_path, capsys):
+    path = tmp_path / "emb.obsd"
+    write_embeddings_binary(path, fuzz_table())
+    path.write_bytes(path.read_bytes() + b"\x00" * 8)
+    assert main(["diffuse", str(path), "--omega", "0.5", "--out-dir", str(tmp_path / "out")]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "FormatError" and "trailing bytes" in record["message"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_eval_and_diffuse_accept_binary_input(tmp_path):

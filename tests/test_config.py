@@ -121,8 +121,6 @@ _VALID = {
     "label_flip_ratio": st.floats(0.0, 0.5),
     "data_seed": st.integers(-(10**12), 10**12),
     "omega": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-    "max_iter": st.integers(1, 10**9),
-    "tol": _positive_floats(),
     "degree_epsilon": _positive_floats(),
     "knn_k": st.integers(1, 10**6),
     "distill_mode": st.sampled_from(["none", "psd", "obdsd"]),

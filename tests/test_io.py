@@ -107,6 +107,15 @@ def test_binary_truncation_detected(tmp_path):
         read_embeddings_binary(path)
 
 
+def test_binary_trailing_bytes_detected(tmp_path):
+    # nothing may follow the labels: a longer file is not read as its first n rows
+    path = tmp_path / "emb.obsd"
+    write_embeddings_binary(path, table(n=10))
+    path.write_bytes(path.read_bytes() + b"garbage!")
+    with pytest.raises(FormatError, match="trailing bytes"):
+        read_embeddings_binary(path)
+
+
 def test_binary_rejects_wrong_magic(tmp_path):
     path = tmp_path / "emb.obsd"
     path.write_bytes(b"NOPE" + b"\x00" * 20)

@@ -15,7 +15,7 @@ from diffdistill.cli import _fd_grad
 from diffdistill.config import ConfigError, default_config_text, parse_config_text
 from diffdistill.distill import psd_loss
 from diffdistill.embeddings import cosine_similarity_matrix, normalize_rows
-from diffdistill.errors import InsufficientClasses, NotConverged, NoValidPairs
+from diffdistill.errors import InsufficientClasses, NoValidPairs
 from diffdistill.training import (
     Dataset,
     baseline_contrastive_loss_and_grad,
@@ -452,16 +452,6 @@ def test_batch_scope_reports_floored_rows_as_train_rows(monkeypatch):
     for epoch, rows in result.degenerate_rows.items():
         batches = sampled[epoch * per_epoch : (epoch + 1) * per_epoch]
         assert rows == tuple(sorted({int(idx[r]) for idx in batches for r in (0, 3)}))
-
-
-def test_global_scope_honours_solver_settings(monkeypatch):
-    # max_iter and tol bound the solve only above the dense bound, where it iterates
-    train_set, test_set = zero_shot_task(SPEC, 0)
-    cfg = small_config(epochs=2, diffusion_scope="global", knn_k=10, max_iter=1)
-    assert len(train(train_set, test_set, cfg, seed=0).history) == 2
-    monkeypatch.setattr(diffusion, "MAX_DENSE_ROWS", train_set.n - 1)
-    with pytest.raises(NotConverged):
-        train(train_set, test_set, cfg, seed=0)
 
 
 def test_global_scope_above_dense_bound_iterates_on_the_padded_graph(monkeypatch):
