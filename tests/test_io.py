@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from diffdistill import io
 from diffdistill.io import (
@@ -204,6 +206,123 @@ def test_neighbors_writer_matches_per_element_format(tmp_path):
     assert path.read_bytes() == old_neighbors_text(old, "c0ffee").encode("utf-8")
 
 
+# ---------------------------------------------------------------------------
+# the vectorized repr: bytes equal to repr(float(x)), and round trips
+
+
+def repr_lines(values) -> list[str]:
+    """The formatter's text for each value, as the writers put it after a line's head."""
+    return io._lines(np.asarray(values, dtype=np.float64)).decode().split("\n")[:-1]
+
+
+def same_values(back, values) -> bool:
+    """Equal bit for bit, but any NaN for a NaN: repr writes every NaN as nan."""
+    back, values = np.asarray(back, dtype=np.float64), np.asarray(values, dtype=np.float64)
+    nan = np.isnan(values)
+    return bool((np.isnan(back) == nan).all() and (back[~nan].view(np.uint64) == values[~nan].view(np.uint64)).all())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_formatter_matches_repr_on_floats(xs):
+    # st.floats draws +-0, subnormals, nan and +-inf among the rest
+    assert repr_lines(xs) == [repr(x) for x in xs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+def test_formatter_matches_repr_on_bit_patterns(patterns):
+    xs = np.array(patterns, dtype=np.uint64).view(np.float64)
+    assert repr_lines(xs) == [repr(x) for x in xs.tolist()]
+
+
+def test_formatter_matches_repr_on_powers_and_notation_switches():
+    # every power of 2 (subnormals included) and of 10, the 1e-4 and 1e16
+    # switches between positional and exponent notation, their neighbours on
+    # both sides, and the negatives of all of them
+    xs = np.array([2.0**e for e in range(-1074, 1024)] + [float(f"1e{e}") for e in range(-323, 309)])
+    xs = np.concatenate([xs, np.nextafter(xs, np.inf), np.nextafter(xs, -np.inf)])
+    xs = np.concatenate([xs, -xs])
+    assert {repr(x) for x in (9.999999999999999e-05, 1e-04, 9999999999999998.0, 1e16)} <= set(repr_lines(xs))
+    assert repr_lines(xs) == [repr(x) for x in xs.tolist()]
+
+
+def test_formatter_tables_are_built_on_first_use():
+    code = (
+        "import contextlib, io, diffdistill.cli as cli, diffdistill.io as dio\n"
+        "with contextlib.suppress(SystemExit), contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cli.main(['--version'])\n"
+        "print(dio._tables.cache_info().currsize)"
+    )
+    src = str(Path(io.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert result.stdout == "0\n", result.stderr
+
+
+@st.composite
+def similarity_blocks(draw):
+    """1-3 blocks of 1-12 rows over distinct input rows, with any float values."""
+    blocks, first = [], 0
+    for batch in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 12))
+        indices = first + np.array(draw(st.permutations(range(n))))
+        values = draw(st.lists(st.floats(), min_size=n * n, max_size=n * n))
+        blocks.append((batch, indices, np.array(values).reshape(n, n)))
+        first += n
+    return blocks
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(blocks=similarity_blocks())
+def test_similarity_csv_round_trips_every_value(tmp_path, monkeypatch, cpus, blocks):
+    force_parallel(monkeypatch, cpus)  # blocks of 8 or more rows are formatted in forked workers
+    path = tmp_path / "sim.csv"
+    write_similarity_csv(path, blocks, config_hash="x")
+    back = read_similarity_csv(path)
+    assert len(back) == sum(len(indices) ** 2 for _, indices, _ in blocks)
+    for _, indices, matrix in blocks:
+        got = [[back[(i, j)] for j in indices.tolist()] for i in indices.tolist()]
+        assert same_values(got, matrix)
+
+
+ids = st.text(st.characters(categories=["L", "N"]) | st.sampled_from("_-. "), min_size=1, max_size=8)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), n=st.integers(1, 6), d=st.integers(1, 4))
+def test_embedding_csv_round_trips_every_value(tmp_path, data, n, d):
+    t = EmbeddingTable(
+        ids=data.draw(st.lists(ids, min_size=n, max_size=n)),
+        labels=np.array(data.draw(st.lists(st.integers(0, 2**63 - 1), min_size=n, max_size=n)), dtype=np.int64),
+        vectors=np.array(data.draw(st.lists(st.floats(), min_size=n * d, max_size=n * d))).reshape(n, d),
+    )
+    path = tmp_path / "emb.csv"
+    write_embeddings_csv(path, t, config_hash="x")
+    back = read_embeddings_csv(path)
+    assert back.ids == t.ids
+    np.testing.assert_array_equal(back.labels, t.labels)
+    assert same_values(back.vectors, t.vectors)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), n=st.integers(0, 6), d=st.integers(1, 4))
+def test_binary_round_trips_every_value(tmp_path, data, n, d):
+    vectors = data.draw(st.lists(st.floats(width=32), min_size=n * d, max_size=n * d))
+    t = EmbeddingTable(
+        ids=[str(i) for i in range(n)],
+        labels=np.array(data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=n, max_size=n)), dtype=np.int64),
+        vectors=np.array(vectors, dtype=np.float64).reshape(n, d),
+    )
+    path = tmp_path / "emb.obsd"
+    write_embeddings_binary(path, t)
+    back = read_embeddings_binary(path)
+    assert back.ids == t.ids
+    np.testing.assert_array_equal(back.labels, t.labels)
+    assert same_values(back.vectors, t.vectors)
+
+
 def force_parallel(monkeypatch, cpus, threshold=64):
     """Blocks of `threshold` or more values take the pool path on `cpus` workers."""
     monkeypatch.setattr(io, "PARALLEL_FORMAT_VALUES", threshold)
@@ -313,14 +432,14 @@ def test_failed_stream_leaves_target_and_no_temp_file(tmp_path, monkeypatch):
 def test_parallel_worker_exception_propagates_and_leaves_no_temp_file(tmp_path, monkeypatch):
     force_parallel(monkeypatch, 2)
     parent = os.getpid()
-    row_text = io._row_text
+    format_span = io._format_span
 
     def fails_in_worker(*args):
         if os.getpid() != parent:
             raise ValueError("worker failed")
-        return row_text(*args)
+        return format_span(*args)
 
-    monkeypatch.setattr(io, "_row_text", fails_in_worker)  # forked workers inherit the patch
+    monkeypatch.setattr(io, "_format_span", fails_in_worker)  # forked workers inherit the patch
     with pytest.raises(ValueError, match="worker failed"):
         write_similarity_csv(tmp_path / "sim.csv", tiled_blocks(), config_hash="x")
     assert list(tmp_path.iterdir()) == []
@@ -334,7 +453,7 @@ from diffdistill import io
 io.PARALLEL_FORMAT_VALUES = 64
 io.FORMAT_SPAN_ROWS = 4  # 5 spans, so both CPUs get a worker
 os.sched_getaffinity = lambda pid: {0, 1}
-io._row_text = lambda *args: os._exit(7)
+io._format_span = lambda *args: os._exit(7)
 try:
     io.write_similarity_csv("sim.csv", [(0, np.arange(20), np.zeros((20, 20)))], "x")
 except BrokenProcessPool:
@@ -367,7 +486,7 @@ def stall(*args):
     os.write(1, b"%d\\n" % os.getpid())
     time.sleep(300)
 
-io._row_text = stall
+io._format_span = stall
 io.write_similarity_csv("sim.csv", [(0, np.arange(20), np.zeros((20, 20)))], "x")
 """
 
@@ -379,22 +498,28 @@ def test_parallel_workers_exit_when_the_writer_is_killed(tmp_path):
     proc = subprocess.Popen(
         [sys.executable, "-c", WORKER_STALLS], cwd=tmp_path, env=env, stdout=subprocess.PIPE, bufsize=0
     )
-    workers = []
+    workers, exited, wait = [], False, "writer exit"
     try:
         while len(workers) < 2:  # both workers are stalled in a span
             started = select.select([proc.stdout], [], [], 60)[0]
             assert started, f"worker start: no pid within 60 s; worker pids seen {workers}"
-            workers.append(int(proc.stdout.readline()))
+            line = proc.stdout.readline()
+            if not line:  # EOF before both workers wrote their pids: the writer is gone
+                status = proc.wait(timeout=60)
+                raise AssertionError(f"writer exited early with status {status}; worker pids seen {workers}")
+            workers.append(int(line))
         proc.kill()
-        wait = "writer exit"
         proc.wait(timeout=60)
         wait = "pipe EOF"
         # the workers hold the stdout pipe, so EOF means both have exited
         proc.communicate(timeout=30)
+        exited = True
     except subprocess.TimeoutExpired as exc:
-        for pid in workers:
-            with contextlib.suppress(ProcessLookupError):  # a worker that did exit
-                os.kill(pid, signal.SIGKILL)
         raise AssertionError(f"{wait}: timed out after {exc.timeout} s; worker pids seen {workers}") from exc
     finally:
         proc.kill()
+        proc.wait(timeout=60)
+        proc.stdout.close()
+        for pid in [] if exited else workers:
+            with contextlib.suppress(ProcessLookupError):  # a worker that did exit
+                os.kill(pid, signal.SIGKILL)
