@@ -223,7 +223,7 @@ def _tables() -> _Tables:
     Row 2 * e + p serves the doubles c * 2**q of biased exponent e (q = e - 1075),
     with p = 1 for a power of two above the smallest normal, whose rounding
     interval reaches half as far below it as above. k is floor(log10) of
-    2**q, or of 3/4 2**q when p = 1, so that 10**k <= the interval's width.
+    the interval's width, 2**q, or 3/4 2**q when p = 1.
     """
     rows, g = [], {}
     for biased in range(2048):
@@ -308,7 +308,7 @@ def _repr_text(values: np.ndarray, out: np.ndarray) -> None:
     biased = bits >> 52 & 0x7FF
     regular = (biased != 0) & (biased != 0x7FF)
     f, k = _shortest_digits(np.where(regular, bits, _ONE_BITS))
-    short = f < 10**16  # f has 16 or 17 digits: c >= 2**52 and 10**k <= the interval's width
+    short = f < 10**16  # in [4.5e15, 9.1e16): c >= 2**52, 10**k <= the interval's width < 10**(k+1)
     point = k + 17 - short  # the value is 0.d1d2...d17 * 10**point
     f = np.where(short, f * 10, f)
     high = f // 10**8

@@ -287,14 +287,15 @@ def test_similarity_csv_round_trips_every_value(tmp_path, monkeypatch, cpus, blo
         assert same_values(got, matrix)
 
 
-ids = st.text(st.characters(categories=["L", "N"]) | st.sampled_from("_-. "), min_size=1, max_size=8)
+# ids the embedding CSV can hold: no comma, quote or newline, and no leading "#"
+csv_ids = st.text(st.characters(categories=["L", "N"]) | st.sampled_from("_-. "), min_size=1, max_size=8)
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data(), n=st.integers(1, 6), d=st.integers(1, 4))
 def test_embedding_csv_round_trips_every_value(tmp_path, data, n, d):
     t = EmbeddingTable(
-        ids=data.draw(st.lists(ids, min_size=n, max_size=n)),
+        ids=data.draw(st.lists(csv_ids, min_size=n, max_size=n)),
         labels=np.array(data.draw(st.lists(st.integers(0, 2**63 - 1), min_size=n, max_size=n)), dtype=np.int64),
         vectors=np.array(data.draw(st.lists(st.floats(), min_size=n * d, max_size=n * d))).reshape(n, d),
     )
